@@ -132,7 +132,7 @@ def run_bench(corpus: Corpus, n: int, algorithms=ALGORITHMS) -> BenchReport:
     seq = wlo_bucket(n)
     rev_order = seq.order[::-1]
     ms = masks_recursive(n)
-    mask_words = [list(m.words) for m in ms.masks]
+    mask_words = [np.frombuffer(m.bits.to_bytes(8 * wpf, "little"), dtype="<u8").tolist() for m in ms.masks]
     rank_from_end = {s: i + 1 for i, s in enumerate(rev_order)}
 
     results = []

@@ -23,7 +23,7 @@ from .counts import (
 from .masks import mask_bit_rows, mask_paper_serial, masks_recursive, word_count
 from .search import TruthTable, algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
 from .subsets import SubsetUniverse, members_in_order, rank, subsets_in_cardinality_order, unrank
-from .wlo import layer_slice, sequence_lines, wlo_bucket
+from .wlo import layer_slice, wlo_bucket
 
 SEQUENCES = {
     "A051459": (count_weight_orders, lambda n: oracle_count_linear_extensions(n) if n <= ORACLE_LINEXT_MAX_N else None),
@@ -207,11 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Counts and mask serials run to tens of thousands of digits. Python
+    # 3.11+ and 3.10.7+ cap int-to-text conversion at 4300 digits unless
+    # lifted; earlier releases have no cap and no setter.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

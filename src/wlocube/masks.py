@@ -1,8 +1,8 @@
-"""Characteristic vectors (masks) of the weight layers, packed into words.
+"""Characteristic vectors (masks) of the weight layers.
 
-Storage is LSB-first: cube coordinate i lives in words[i // 64] at bit
-position i % 64, the natural layout for ANDing against packed truth
-tables.  The MSB-first "serial number of a mask" convention (coordinate 0
+A mask is one non-negative int of 2^n bits in which bit i is cube
+coordinate i, the layout of truth tables, so a layer test is a single
+`&`.  The MSB-first "serial number of a mask" convention (coordinate 0
 as the most significant of the 2^n bits) is honored only when rendering
 with mask_paper_serial.
 """
@@ -12,12 +12,10 @@ from dataclasses import dataclass
 from .cube import check_dim, check_serial
 from .wlo import WloSequence, layer_slice
 
-WORD_BITS = 64
-
 
 def word_count(n: int) -> int:
-    """Words needed for 2^n bits: 1 for n <= 6, else 2^(n-6)."""
-    return max(1, 1 << (n - 6)) if n >= 6 else 1
+    """64-bit words in the raw I/O format of 2^n bits: 1 for n <= 6, else 2^(n-6)."""
+    return 1 << max(0, n - 6)
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,7 @@ class LayerMask:
 
     n: int
     k: int
-    words: tuple[int, ...]
+    bits: int
 
 
 @dataclass(frozen=True)
@@ -43,13 +41,12 @@ class MaskSet:
 def masks_from_wlo(seq: WloSequence) -> MaskSet:
     """Build the masks by setting one bit per entry of each layer slice."""
     n = seq.n
-    w = word_count(n)
     masks = []
     for k in range(n + 1):
-        words = [0] * w
+        buf = bytearray(((1 << n) + 7) >> 3)
         for serial in layer_slice(seq, k):
-            words[serial >> 6] |= 1 << (serial & 63)
-        masks.append(LayerMask(n, k, tuple(words)))
+            buf[serial >> 3] |= 1 << (serial & 7)
+        masks.append(LayerMask(n, k, int.from_bytes(buf, "little")))
     return MaskSet(n, tuple(masks))
 
 
@@ -58,54 +55,34 @@ def masks_recursive(n: int) -> MaskSet:
 
     The layer-i mask for dimension r is the layer-i mask of dimension r-1
     in the low 2^(r-1) bits and the layer-(i-1) mask in the high half
-    (prefixing a vector with 1 adds 2^(r-1) to its serial).  Realized as
-    in-word shifts while a half fits one word and as whole-word
-    concatenation beyond that.
+    (prefixing a vector with 1 adds 2^(r-1) to its serial): one shift and
+    one OR per row.
     """
     check_dim(n)
-    rows: list[tuple[int, ...]] = [(0b01,), (0b10,)]  # n=1: {bit 0}, {bit 1}
+    rows = [0b01, 0b10]  # n=1: {bit 0}, {bit 1}
     for r in range(2, n + 1):
         half = 1 << (r - 1)
-        prev = rows
-        empty_words = len(prev[0])
-        rows = []
-        for i in range(r + 1):
-            low = prev[i] if i <= r - 1 else (0,) * empty_words
-            high = prev[i - 1] if i >= 1 else (0,) * empty_words
-            if half < WORD_BITS:
-                rows.append((low[0] | (high[0] << half),))
-            else:
-                rows.append(low + high)
-    return MaskSet(n, tuple(LayerMask(n, k, words) for k, words in enumerate(rows)))
+        rows = [low | (high << half) for low, high in zip(rows + [0], [0] + rows)]
+    return MaskSet(n, tuple(LayerMask(n, k, bits) for k, bits in enumerate(rows)))
 
 
 def mask_test(mask: LayerMask, serial: int) -> bool:
     """Whether bit `serial` is set in the mask."""
     check_serial(serial, mask.n)
-    return bool((mask.words[serial >> 6] >> (serial & 63)) & 1)
+    return bool((mask.bits >> serial) & 1)
 
 
 def mask_paper_serial(mask: LayerMask) -> int:
     """The mask as one big integer, coordinate 0 most significant.
 
     This bit order is the reverse of the storage layout, so the result is
-    the bit-reversal of the packed words read as a 2^n-bit little-endian
-    integer.
+    the 2^n-bit reversal of `mask.bits`.
     """
-    size = 1 << mask.n
-    acc = 0
-    for j, w in enumerate(mask.words):
-        base = j << 6
-        while w:
-            low = w & -w
-            i = base + low.bit_length() - 1
-            acc |= 1 << (size - 1 - i)
-            w ^= low
-    return acc
+    return int(format(mask.bits, f"0{1 << mask.n}b")[::-1], 2)
 
 
 def mask_bit_rows(mask: LayerMask) -> str:
     """Render as a 0/1 string, coordinate 0 first, grouped in 8-bit blocks."""
     size = 1 << mask.n
-    bits = "".join("1" if (mask.words[i >> 6] >> (i & 63)) & 1 else "0" for i in range(size))
+    bits = format(mask.bits, f"0{size}b")[::-1]
     return " ".join(bits[i : i + 8] for i in range(0, size, 8))

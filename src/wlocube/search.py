@@ -1,62 +1,48 @@
-"""Max/min-weight support search over packed truth tables.
+"""Max/min-weight support search over truth tables.
 
-Three routes to the same answer: a full linear scan, a scan along the WLO
-sequence that stops at the first hit, and a word-level scan that ANDs the
-truth table against one layer mask at a time.  The module also computes
-the algebraic degree of a function from its ANF coefficient vector, which
-shares the truth-table layout.
+A truth table is one non-negative int of 2^n bits, bit i being f at the
+vector with serial i.  Three routes reach the same answer: a full linear
+scan, a scan along the WLO sequence that stops at the first hit, and a
+layer scan that ANDs the table against one layer mask at a time.  The
+module also computes the algebraic degree of a function from its ANF
+coefficient vector, which shares the truth-table layout.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .cube import cached_weight_table, check_dim
 from .masks import LayerMask, MaskSet, word_count
 from .wlo import WloSequence
 
-_FULL64 = (1 << 64) - 1
-
-# bit s of a position is 0 exactly where these masks have a 1, s = 0..5
-_BUTTERFLY_MASKS = (
-    0x5555555555555555,
-    0x3333333333333333,
-    0x0F0F0F0F0F0F0F0F,
-    0x00FF00FF00FF00FF,
-    0x0000FFFF0000FFFF,
-    0x00000000FFFFFFFF,
-)
-
 
 @dataclass(frozen=True)
 class TruthTable:
-    """A Boolean function of n variables as 2^n bits packed into words.
+    """A Boolean function of n variables as one int of 2^n bits.
 
-    Bit i (word i // 64, position i % 64) is f(alpha) for the vector with
-    serial i.  The same layout stores ANF coefficient vectors.
+    Bit i is f(alpha) for the vector with serial i.  The same layout
+    stores ANF coefficient vectors.
     """
 
     n: int
-    words: tuple[int, ...]
+    bits: int
 
     def __post_init__(self):
         check_dim(self.n)
-        if len(self.words) != word_count(self.n):
-            raise ValueError(f"expected {word_count(self.n)} words for n={self.n}, got {len(self.words)}")
+        if not isinstance(self.bits, int) or self.bits < 0 or self.bits >> (1 << self.n):
+            raise ValueError(f"truth table bits must be an int in [0, 2^{1 << self.n}) for n={self.n}")
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "TruthTable":
-        check_dim(n)
-        if value < 0 or value >> (1 << n):
-            raise ValueError(f"value does not fit in 2^{n} bits")
-        w = word_count(n)
-        return cls(n, tuple((value >> (64 * j)) & _FULL64 for j in range(w)))
+        return cls(n, value)
 
     @classmethod
     def from_bits(cls, n: int, ones: "set[int] | list[int]") -> "TruthTable":
         value = 0
         for i in ones:
             value |= 1 << i
-        return cls.from_int(n, value)
+        return cls(n, value)
 
     @classmethod
     def from_bitstring(cls, n: int, s: str) -> "TruthTable":
@@ -64,7 +50,7 @@ class TruthTable:
         check_dim(n)
         if len(s) != 1 << n or set(s) - {"0", "1"}:
             raise ValueError(f"truth table string must be {1 << n} characters of 0/1")
-        return cls.from_int(n, int(s[::-1], 2))
+        return cls(n, int(s[::-1], 2))
 
     @classmethod
     def from_raw(cls, n: int, data: bytes) -> "TruthTable":
@@ -74,20 +60,15 @@ class TruthTable:
         if len(data) != 8 * w:
             raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
         value = int.from_bytes(data, "little")
-        return cls.from_int(n, value & ((1 << (1 << n)) - 1))
+        if n < 6:
+            value &= (1 << (1 << n)) - 1
+        return cls(n, value)
 
     def to_int(self) -> int:
-        acc = 0
-        for j, w in enumerate(self.words):
-            acc |= w << (64 * j)
-        return acc
+        return self.bits
 
     def to_bitstring(self) -> str:
-        size = 1 << self.n
-        return format(self.to_int(), f"0{size}b")[::-1]
-
-    def is_zero(self) -> bool:
-        return not any(self.words)
+        return format(self.bits, f"0{1 << self.n}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -98,16 +79,30 @@ class SearchHit:
 
 @dataclass
 class SearchStats:
-    """Optional probe/word-op counters for the search routines."""
+    """Optional probe/word-op counters for the search routines.
+
+    word_ops counts the 64-bit words of the raw format that an AND covers:
+    word_count(n) per layer row tested.
+    """
 
     probes: int = 0
     word_ops: int = 0
     rows_tested: int = 0
 
 
+# per byte value: the positions of its set bits, and a 0/1 nonzero flag
+_BYTE_ONES = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
+_NONZERO_BYTE = bytes([0] + [1] * 255)
+
+
 def _check_same_dim(n: int, other: int, what: str) -> None:
     if n != other:
         raise ValueError(f"dimension mismatch: truth table has n={n}, {what} has n={other}")
+
+
+def _byte_view(tt: TruthTable) -> bytes:
+    """Bit i of the table is bit i % 8 of byte i // 8."""
+    return tt.bits.to_bytes(((1 << tt.n) + 7) >> 3, "little")
 
 
 def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
@@ -119,15 +114,10 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
     wt = cached_weight_table(tt.n)
     best = -1
     best_w = -1
-    i = 0
-    for w in tt.words:
-        for b in range(64):
-            if (w >> b) & 1 and wt[i] >= best_w:
-                best_w = wt[i]
-                best = i
-            i += 1
-            if i == 1 << tt.n:
-                break
+    for i, c in enumerate(tt.to_bitstring()):
+        if c == "1" and wt[i] >= best_w:
+            best_w = wt[i]
+            best = i
     if stats is not None:
         stats.probes += 1 << tt.n
     if best < 0:
@@ -138,13 +128,13 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
 def wlo_search_max(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
     """Scan the WLO sequence from its heavy end; stop at the first hit."""
     _check_same_dim(tt.n, seq.n, "sequence")
-    words = tt.words
+    view = _byte_view(tt)
     order = seq.order
     probes = 0
     for i in range(len(order) - 1, -1, -1):
         s = order[i]
         probes += 1
-        if (words[s >> 6] >> (s & 63)) & 1:
+        if (view[s >> 3] >> (s & 7)) & 1:
             if stats is not None:
                 stats.probes += probes
             return SearchHit(s, s.bit_count())
@@ -156,11 +146,11 @@ def wlo_search_max(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats
 def wlo_search_min(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
     """Scan the WLO sequence from its light end; stop at the first hit."""
     _check_same_dim(tt.n, seq.n, "sequence")
-    words = tt.words
+    view = _byte_view(tt)
     probes = 0
     for s in seq.order:
         probes += 1
-        if (words[s >> 6] >> (s & 63)) & 1:
+        if (view[s >> 3] >> (s & 7)) & 1:
             if stats is not None:
                 stats.probes += probes
             return SearchHit(s, s.bit_count())
@@ -176,55 +166,59 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
     via layer_support.
     """
     _check_same_dim(tt.n, ms.n, "mask set")
-    words = tt.words
+    bits = tt.bits
     for row in range(tt.n, -1, -1):
-        mask_words = ms.masks[row].words
         if stats is not None:
             stats.rows_tested += 1
-        for col, mw in enumerate(mask_words):
-            if stats is not None:
-                stats.word_ops += 1
-            if words[col] & mw:
-                return row
+            stats.word_ops += word_count(tt.n)
+        if bits & ms.masks[row].bits:
+            return row
     return None
 
 
 def layer_support(tt: TruthTable, mask: LayerMask) -> list[int]:
     """Ascending serials of set bits of (tt AND mask)."""
     _check_same_dim(tt.n, mask.n, "mask")
+    x = tt.bits & mask.bits
+    view = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+    flags = view.translate(_NONZERO_BYTE)
     out = []
-    for col, (a, b) in enumerate(zip(tt.words, mask.words)):
-        w = a & b
-        base = col << 6
-        while w:
-            low = w & -w
-            out.append(base + low.bit_length() - 1)
-            w ^= low
+    j = flags.find(1)
+    while j >= 0:
+        out.extend((j << 3) + b for b in _BYTE_ONES[view[j]])
+        j = flags.find(1, j + 1)
     return out
+
+
+@lru_cache(maxsize=None)
+def _butterfly_patterns(n: int) -> tuple[int, ...]:
+    """P_s for s < n: the 2^n-bit int with bit i set iff bit s of i is 0.
+
+    Built by doubling a block of 2^s ones followed by 2^s zeros.
+    """
+    size = 1 << n
+    patterns = []
+    for s in range(n):
+        p = (1 << (1 << s)) - 1
+        width = 2 << s
+        while width < size:
+            p |= p << width
+            width <<= 1
+        patterns.append(p)
+    return tuple(patterns)
 
 
 def mobius_transform(tt: TruthTable) -> TruthTable:
     """Binary Moebius (butterfly) transform over GF(2); an involution.
 
-    Maps a truth table to its ANF coefficient vector and back.  Strides
-    below 64 are intra-word shift-mask butterflies; larger strides are
-    word-block XORs.
+    Maps a truth table to its ANF coefficient vector and back.  Step s
+    XORs every coordinate whose serial has bit s clear into its partner
+    2^s above: v ^= (v & P_s) << 2^s (TAOCP 4A, 7.1.3).
     """
-    n = tt.n
-    words = list(tt.words)
-    for s in range(min(n, 6)):
-        stride = 1 << s
-        m = _BUTTERFLY_MASKS[s]
-        for j, w in enumerate(words):
-            words[j] = w ^ (((w & m) << stride) & _FULL64)
-    for s in range(6, n):
-        block = 1 << (s - 6)
-        for j in range(len(words)):
-            if j & block:
-                words[j] ^= words[j ^ block]
-    if n < 6:
-        words[0] &= (1 << (1 << n)) - 1
-    return TruthTable(n, tuple(words))
+    v = tt.bits
+    for s, p in enumerate(_butterfly_patterns(tt.n)):
+        v ^= (v & p) << (1 << s)
+    return TruthTable(tt.n, v)
 
 
 def algebraic_degree(anf: TruthTable, ms: MaskSet) -> Optional[int]:

@@ -83,7 +83,7 @@ def test_masks():
         a = masks_from_wlo(wlo_bucket(n))
         b = masks_recursive(n)
         for k in range(n + 1):
-            assert a[k].words == b[k].words
+            assert a[k].bits == b[k].bits
     for n, expected in TABLE2.items():
         got = tuple(mask_paper_serial(m) for m in masks_recursive(n).masks)
         assert got == expected

@@ -1,4 +1,5 @@
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,22 @@ def test_masks_outputs(capsys):
     code, out, _ = run(capsys, "masks", "--n", "4")
     rows = out.strip().splitlines()
     assert rows[2] == "00010110 01101000"  # the weight-2 mask, coordinate 0 first
+
+
+def test_outputs_beyond_default_digit_limit(capsys):
+    # A051459(12) and the n=14 mask serials have more than 4300 decimal
+    # digits, the default int-to-text limit of Python 3.11+ and 3.10.7+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, "enumerate", "--seq", "A051459", "--upto", "12")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 12 and lines[-1].startswith("12 ")
+    code, out, err = run(capsys, "masks", "--n", "14", "--paper-serials")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 15 and lines[-1] == "1"
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_degree(capsys):

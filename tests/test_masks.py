@@ -14,12 +14,7 @@ PAPER_SERIALS = {
 
 
 def bits_of(mask):
-    out = set()
-    for j, w in enumerate(mask.words):
-        for b in range(64):
-            if (w >> b) & 1:
-                out.add(64 * j + b)
-    return out
+    return {i for i in range(1 << mask.n) if (mask.bits >> i) & 1}
 
 
 def test_word_count():
@@ -41,7 +36,7 @@ def test_constructions_agree():
         a = masks_from_wlo(wlo_bucket(n))
         b = masks_recursive(n)
         for k in range(n + 1):
-            assert a[k].words == b[k].words
+            assert a[k].bits == b[k].bits
 
 
 def test_per_bit_oracle_and_popcount():
@@ -56,14 +51,11 @@ def test_per_bit_oracle_and_popcount():
 def test_disjoint_and_complete():
     for n in range(1, 13):
         ms = masks_recursive(n)
-        w = word_count(n)
-        for col in range(w):
-            acc = 0
-            for k in range(n + 1):
-                assert acc & ms[k].words[col] == 0
-                acc |= ms[k].words[col]
-            expected = (1 << min(64, 1 << n)) - 1 if col == 0 and n < 6 else (1 << 64) - 1
-            assert acc == expected
+        acc = 0
+        for k in range(n + 1):
+            assert acc & ms[k].bits == 0
+            acc |= ms[k].bits
+        assert acc == (1 << (1 << n)) - 1
 
 
 def test_paper_serials_match_table():

@@ -32,7 +32,7 @@ def test_truth_table_construction():
     tt = TruthTable.from_bitstring(4, "1001011010101000")
     assert tt == make_tt(4, EX2_BITS)
     assert tt.to_bitstring() == "1001011010101000"
-    raw = tt.words[0].to_bytes(8, "little")
+    raw = tt.bits.to_bytes(8, "little")
     assert TruthTable.from_raw(4, raw) == tt
     with pytest.raises(ValueError):
         TruthTable.from_bitstring(4, "10")
