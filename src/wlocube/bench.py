@@ -1,23 +1,27 @@
-"""Micro-benchmark harness for the three search algorithms.
+"""Micro-benchmark harness for the library's three search routes.
 
 A corpus is a flat file of raw little-endian 64-bit words produced by a
 seeded splitmix64 stream, consecutive groups of W words forming one truth
-table.  run_bench loads and unpacks everything up front, then times each
-algorithm's bare loop over all functions; I/O, precomputation and format
-conversion never land inside a timed region.  Wall-clock seconds are
-reported but never asserted; correctness is gated on identical per-weight
-result histograms across algorithms.
+table.  run_bench reads the file once and parses every function with
+TruthTable.from_raw, builds the WLO sequence and the layer masks, then
+times exhaustive_max, wlo_search_max and bitwise_search_max, one pass each
+over all functions; I/O and parsing never land inside a timed region.
+Each pass counts its ops through one SearchStats: probes for exhaustive
+and wlo, word_ops for bitwise.  Wall-clock seconds are reported but never
+asserted; correctness is gated on identical per-weight result histograms
+across algorithms.
 """
 
 import csv
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import median
 
-import numpy as np
-
-from .cube import cached_weight_table, check_dim
+from .cube import check_dim
 from .masks import masks_recursive, word_count
+from .search import SearchStats, TruthTable, bitwise_search_max, exhaustive_max, wlo_search_max
 from .wlo import wlo_bucket
 
 ALGORITHMS = ("exhaustive", "wlo", "bitwise")
@@ -103,140 +107,63 @@ def load_corpus(path) -> Corpus:
     return Corpus(path, fields["word_count"], fields["words_per_function"], fields["seed"])
 
 
-def run_bench(corpus: Corpus, n: int, algorithms=ALGORITHMS) -> BenchReport:
-    """Time the selected algorithms over every function in the corpus."""
+def _load_tables(corpus: Corpus, n: int) -> list[TruthTable]:
+    """Read the corpus file once and parse every function into a TruthTable."""
     check_dim(n)
     wpf = word_count(n)
     if wpf != corpus.words_per_function:
         raise ValueError(f"corpus has {corpus.words_per_function} words per function, n={n} needs {wpf}")
+    raw = Path(corpus.path).read_bytes()
+    if len(raw) != 8 * corpus.word_count:
+        raise ValueError("corpus file size disagrees with its metadata")
+    step = 8 * wpf
+    return [TruthTable.from_raw(n, raw[i * step : (i + 1) * step]) for i in range(corpus.function_count)]
+
+
+def run_bench(corpus: Corpus, n: int, algorithms=ALGORITHMS) -> BenchReport:
+    """Time the selected search routes over every function in the corpus."""
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
     algorithms = [a for a in ALGORITHMS if a in algorithms]
-    if not algorithms:
-        return BenchReport(n, corpus.function_count, [])
-
-    size = 1 << n
-    count = corpus.function_count
-    raw = Path(corpus.path).read_bytes()
-    if len(raw) != 8 * corpus.word_count:
-        raise ValueError("corpus file size disagrees with its metadata")
-
-    # untimed unpacking: per-function word lists and byte-per-coordinate rows
-    flat = np.frombuffer(raw, dtype="<u8")
-    word_rows = [[int(w) for w in flat[i * wpf : (i + 1) * wpf]] for i in range(count)]
-    bit_matrix = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little").reshape(count, wpf * 64)
-    byte_rows = [bit_matrix[i, :size].tobytes() for i in range(count)]
-
-    wt = cached_weight_table(n)
+    tables = _load_tables(corpus, n)
     seq = wlo_bucket(n)
-    rev_order = seq.order[::-1]
     ms = masks_recursive(n)
-    mask_words = [np.frombuffer(m.bits.to_bytes(8 * wpf, "little"), dtype="<u8").tolist() for m in ms.masks]
-    rank_from_end = {s: i + 1 for i, s in enumerate(rev_order)}
 
     results = []
-    outcomes = {}
     for algo in algorithms:
+        stats = SearchStats()
+        t0 = time.perf_counter()
         if algo == "exhaustive":
-            res = [None] * count
-            t0 = time.perf_counter()
-            for fi in range(count):
-                row = byte_rows[fi]
-                best = -1
-                best_w = -1
-                for i, v in enumerate(row):
-                    if v and wt[i] >= best_w:
-                        best_w = wt[i]
-                        best = i
-                res[fi] = best_w if best >= 0 else -1
-            seconds = time.perf_counter() - t0
-            ops = count * size
+            found = [exhaustive_max(tt, stats) for tt in tables]
         elif algo == "wlo":
-            res = [None] * count
-            t0 = time.perf_counter()
-            for fi in range(count):
-                row = byte_rows[fi]
-                hit = -1
-                for s in rev_order:
-                    if row[s]:
-                        hit = s
-                        break
-                res[fi] = wt[hit] if hit >= 0 else -1
-            seconds = time.perf_counter() - t0
-            ops = 0
-            for fi in range(count):
-                row = byte_rows[fi]
-                hit = next((s for s in rev_order if row[s]), None)
-                ops += rank_from_end[hit] if hit is not None else size
-        else:  # bitwise
-            res = [None] * count
-            t0 = time.perf_counter()
-            for fi in range(count):
-                fw = word_rows[fi]
-                found = -1
-                for row in range(n, -1, -1):
-                    mrow = mask_words[row]
-                    done = False
-                    for col in range(wpf):
-                        if fw[col] & mrow[col]:
-                            found = row
-                            done = True
-                            break
-                    if done:
-                        break
-                res[fi] = found
-            seconds = time.perf_counter() - t0
-            ops = 0
-            for fi in range(count):
-                fw = word_rows[fi]
-                stopped = False
-                for row in range(n, -1, -1):
-                    mrow = mask_words[row]
-                    for col in range(wpf):
-                        ops += 1
-                        if fw[col] & mrow[col]:
-                            stopped = True
-                            break
-                    if stopped:
-                        break
-        hist: dict[int, int] = {}
-        for r in res:
-            hist[r] = hist.get(r, 0) + 1
-        outcomes[algo] = hist
+            found = [wlo_search_max(tt, seq, stats) for tt in tables]
+        else:
+            found = [bitwise_search_max(tt, ms, stats) for tt in tables]
+        seconds = time.perf_counter() - t0
+        if algo == "bitwise":
+            weights, ops = found, stats.word_ops
+        else:
+            weights, ops = [h and h.weight for h in found], stats.probes
+        hist = dict(Counter(-1 if w is None else w for w in weights))
         results.append(AlgoResult(algo, seconds, ops, hist))
 
     # correctness gate: every algorithm must see the same weight distribution
-    first = results[0].histogram
     for r in results[1:]:
-        if r.histogram != first:
+        if r.histogram != results[0].histogram:
             raise AssertionError(f"result histograms differ: {results[0].algorithm} vs {r.algorithm}")
-    return BenchReport(n, count, results)
+    return BenchReport(n, len(tables), results)
 
 
 def median_wlo_probes(corpus: Corpus, n: int) -> float:
-    """Median per-function probe count of the WLO search over a corpus."""
-    check_dim(n)
-    wpf = word_count(n)
-    raw = Path(corpus.path).read_bytes()
-    count = corpus.function_count
-    size = 1 << n
-    bit_matrix = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little").reshape(count, wpf * 64)
-    rev_order = wlo_bucket(n).order[::-1]
+    """Median per-function probe count of wlo_search_max over a corpus."""
+    seq = wlo_bucket(n)
     probes = []
-    for fi in range(count):
-        row = bit_matrix[fi]
-        p = size
-        for i, s in enumerate(rev_order):
-            if row[s]:
-                p = i + 1
-                break
-        probes.append(p)
-    probes.sort()
-    mid = len(probes) // 2
-    if len(probes) % 2:
-        return float(probes[mid])
-    return (probes[mid - 1] + probes[mid]) / 2.0
+    for tt in _load_tables(corpus, n):
+        stats = SearchStats()
+        wlo_search_max(tt, seq, stats)
+        probes.append(stats.probes)
+    return float(median(probes))
 
 
 def write_report(report: BenchReport, path) -> None:

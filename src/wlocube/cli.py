@@ -10,30 +10,11 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import fixtures as fixtures_mod
-from .counts import (
-    ORACLE_CHAINS_PRECEDES_MAX_N,
-    ORACLE_CHAINS_WO_MAX_N,
-    ORACLE_LINEXT_MAX_N,
-    count_max_chains_precedes,
-    count_max_chains_wo,
-    count_weight_orders,
-    oracle_count_chains,
-    oracle_count_linear_extensions,
-)
+from .counts import SEQUENCES
 from .masks import mask_bit_rows, mask_paper_serial, masks_recursive, word_count
 from .search import TruthTable, algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
 from .subsets import SubsetUniverse, members_in_order, rank, subsets_in_cardinality_order, unrank
 from .wlo import layer_slice, wlo_bucket
-
-SEQUENCES = {
-    "A051459": (count_weight_orders, lambda n: oracle_count_linear_extensions(n) if n <= ORACLE_LINEXT_MAX_N else None),
-    "A001142": (count_max_chains_wo, lambda n: oracle_count_chains(n, "weight_order") if n <= ORACLE_CHAINS_WO_MAX_N else None),
-    "A000142": (
-        count_max_chains_precedes,
-        lambda n: oracle_count_chains(n, "precedes") if n <= ORACLE_CHAINS_PRECEDES_MAX_N else None,
-    ),
-}
-
 
 def _load_truth_table(n: int, spec: str) -> TruthTable:
     """Interpret --tt/--anf: an existing file of raw little-endian words,
@@ -83,12 +64,14 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    closed_form, oracle = SEQUENCES[args.seq]
+    seq = SEQUENCES[args.seq]
+    if not 1 <= args.upto <= seq.upto_max:
+        raise ValueError(f"--upto must be in [1, {seq.upto_max}] for {args.seq}, got {args.upto}")
     for n in range(1, args.upto + 1):
-        value = closed_form(n)
-        if args.oracle:
-            check = oracle(n)
-            if check is not None and check != value:
+        value = seq.closed_form(n)
+        if args.oracle and n <= seq.oracle_max_n:
+            check = seq.oracle(n)
+            if check != value:
                 raise ValueError(f"oracle disagrees at n={n}: closed form {value}, oracle {check}")
         print(f"{n} {value}")
     return 0

@@ -7,7 +7,10 @@ exhaustive oracle that validates it on small cubes.
 
 import math
 from collections import deque
+from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
+from typing import Callable
 
 from .cube import cached_weight_table, precedes
 
@@ -145,3 +148,30 @@ def oracle_count_shortest_paths(n: int) -> int:
             if dist[u] == dist[v] + 1:
                 paths[u] += paths[v]
     return paths[size - 1]
+
+
+@dataclass(frozen=True)
+class CountingSequence:
+    """A closed form, its brute-force oracle and their domain bounds.
+
+    The oracle is feasible for n <= oracle_max_n.  upto_max caps how far
+    `wlocube enumerate` computes and prints the closed form: each bound
+    keeps a run of 1..upto_max near one second.
+    """
+
+    closed_form: Callable[[int], int]
+    oracle: Callable[[int], int]
+    oracle_max_n: int
+    upto_max: int
+
+
+# OEIS name -> the closed form that produces it
+SEQUENCES = {
+    "A000142": CountingSequence(
+        count_max_chains_precedes, partial(oracle_count_chains, relation="precedes"), ORACLE_CHAINS_PRECEDES_MAX_N, 2000
+    ),
+    "A001142": CountingSequence(
+        count_max_chains_wo, partial(oracle_count_chains, relation="weight_order"), ORACLE_CHAINS_WO_MAX_N, 300
+    ),
+    "A051459": CountingSequence(count_weight_orders, oracle_count_linear_extensions, ORACLE_LINEXT_MAX_N, 16),
+}

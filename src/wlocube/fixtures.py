@@ -5,11 +5,10 @@ lines are ignored.  Each known sequence maps an index to a value; the two
 triangle sequences are compared against lazily flattened rows.
 """
 
-import math
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .counts import count_max_chains_wo, count_weight_orders
+from .counts import SEQUENCES
 from .masks import mask_paper_serial, masks_recursive
 from .wlo import wlo_bucket
 
@@ -47,9 +46,7 @@ def _mask_serial_triangle() -> Iterator[int]:
 # name -> (first index, index -> value)
 _VALUE_SEQUENCES: dict[str, tuple[int, Callable[[int], int]]] = {
     "A000120": (0, lambda i: i.bit_count()),
-    "A000142": (1, math.factorial),
-    "A001142": (1, count_max_chains_wo),
-    "A051459": (1, count_weight_orders),
+    **{name: (1, seq.closed_form) for name, seq in SEQUENCES.items()},
 }
 
 # name -> (first index, flattened-triangle generator)

@@ -59,10 +59,7 @@ class TruthTable:
         w = word_count(n)
         if len(data) != 8 * w:
             raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
-        value = int.from_bytes(data, "little")
-        if n < 6:
-            value &= (1 << (1 << n)) - 1
-        return cls(n, value)
+        return cls(n, int.from_bytes(data, "little"))
 
     def to_int(self) -> int:
         return self.bits

@@ -119,8 +119,3 @@ def layer_slice(seq: WloSequence, k: int) -> list[int]:
     if not 0 <= k <= seq.n:
         raise ValueError(f"layer index {k} out of range for n={seq.n}")
     return seq.order[seq.layer_offsets[k] : seq.layer_offsets[k + 1]]
-
-
-def sequence_lines(seq: WloSequence) -> list[str]:
-    """Text serialization: one decimal serial per line."""
-    return [str(s) for s in seq.order]

@@ -50,6 +50,14 @@ def test_search_from_raw_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "12 2"
 
 
+def test_search_rejects_stray_high_bits(capsys, tmp_path):
+    # at n=4 a raw word carries 16 coordinates; the other 48 bits must be 0
+    tt_file = tmp_path / "tt.bin"
+    tt_file.write_bytes(b"\xff" * 8)
+    code, out, err = run(capsys, "search", "--n", "4", "--tt", str(tt_file))
+    assert code == 1 and out == "" and "error:" in err
+
+
 def test_enumerate_golden(capsys):
     code, out, _ = run(capsys, "enumerate", "--seq", "A001142", "--upto", "5")
     assert code == 0
@@ -62,6 +70,12 @@ def test_enumerate_with_oracle(capsys):
     code, out, _ = run(capsys, "enumerate", "--seq", "A051459", "--upto", "6", "--oracle")
     assert code == 0
     assert out.splitlines()[2] == "3 36"
+
+
+def test_enumerate_rejects_upto_out_of_range(capsys):
+    code, out, err = run(capsys, "enumerate", "--seq", "A051459", "--upto", "40")
+    assert code == 1 and out == ""
+    assert "--upto" in err and "[1, 16]" in err
 
 
 def test_masks_outputs(capsys):

@@ -71,6 +71,19 @@ def test_bitwise_agrees_with_wlo_scan(tt):
         assert layer_support(tt, ms[row])[-1] == hit.serial
 
 
+@given(tables())
+def test_search_commutes_with_complement(tt):
+    # g(s) = f(s ^ (2^n - 1)): reversing the bit string complements every serial
+    n, full = tt.n, (1 << tt.n) - 1
+    g = TruthTable.from_bitstring(n, tt.to_bitstring()[::-1])
+    seq = wlo(n)
+    hi, lo = wlo_search_max(g, seq), wlo_search_min(tt, seq)
+    if lo is None:
+        assert hi is None
+    else:
+        assert (hi.serial, hi.weight) == (lo.serial ^ full, n - lo.weight)
+
+
 @given(dims)
 def test_masks_partition_the_cube(n):
     acc = 0

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from wlocube import build_pascal_tables, layer_slice, wlo_bucket, wlo_recursive
-from wlocube.wlo import sequence_lines
 
 TABLE_ROWS = {
     1: [0, 1],
@@ -74,10 +73,6 @@ def test_order_is_permutation_with_nondecreasing_weights():
         assert sorted(order) == list(range(1 << n))
         weights = [s.bit_count() for s in order]
         assert weights == sorted(weights)
-
-
-def test_sequence_lines():
-    assert sequence_lines(wlo_bucket(2)) == ["0", "1", "2", "3"]
 
 
 def test_dim_out_of_range():
