@@ -100,11 +100,15 @@ def gen_corpus(count: int, words_per_function: int, seed: int, path, significant
 def load_corpus(path) -> Corpus:
     """Reconstruct a Corpus from its sidecar metadata file."""
     path = Path(path)
+    meta = Path(str(path) + ".meta")
     fields = {}
-    for line in Path(str(path) + ".meta").read_text().splitlines():
+    for line in meta.read_text().splitlines():
         key, _, value = line.partition("=")
         fields[key] = int(value)
-    return Corpus(path, fields["word_count"], fields["words_per_function"], fields["seed"])
+    try:
+        return Corpus(path, fields["word_count"], fields["words_per_function"], fields["seed"])
+    except KeyError as exc:
+        raise ValueError(f"{meta}: missing key {exc.args[0]!r}") from None
 
 
 def _load_tables(corpus: Corpus, n: int) -> list[TruthTable]:

@@ -11,9 +11,10 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import fixtures as fixtures_mod
 from .counts import SEQUENCES
+from .cube import check_dim
 from .masks import mask_bit_rows, mask_paper_serial, masks_recursive, word_count
 from .search import TruthTable, algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
-from .subsets import SubsetUniverse, members_in_order, rank, subsets_in_cardinality_order, unrank
+from .subsets import SubsetHandle, SubsetUniverse, k_subsets, members_in_order, rank, subsets_in_cardinality_order
 from .wlo import layer_slice, wlo_bucket
 
 def _load_truth_table(n: int, spec: str) -> TruthTable:
@@ -83,19 +84,18 @@ def _cmd_subsets(args) -> int:
         for handle in subsets_in_cardinality_order(universe):
             print(",".join(members_in_order(handle)))
     elif args.k is not None:
-        from .subsets import k_subsets
-
         for handle in k_subsets(universe, args.k):
             print(",".join(members_in_order(handle)))
     elif args.rank is not None:
         members = [m for m in args.rank.split(",") if m]
         print(rank(universe, members).serial)
     else:
-        print(",".join(sorted(unrank(universe, args.unrank), key=universe.elements.index)))
+        print(",".join(members_in_order(SubsetHandle(universe, args.unrank))))
     return 0
 
 
 def _cmd_bench(args) -> int:
+    check_dim(args.n)
     if args.gen:
         wpf = word_count(args.n)
         bench_mod.gen_corpus(args.count, wpf, args.seed, args.corpus, significant_bits=1 << args.n)

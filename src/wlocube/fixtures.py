@@ -1,10 +1,12 @@
 """Validation of committed OEIS-style b-files against recomputed values.
 
 A b-file holds one "index value" pair per line; '#' comments and blank
-lines are ignored.  Each known sequence maps an index to a value; the two
-triangle sequences are compared against lazily flattened rows.
+lines are ignored.  Each known sequence is a lazy stream of its terms
+from its first index on; the two triangle sequences stream their
+flattened rows.
 """
 
+from itertools import count
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -28,34 +30,24 @@ def parse_bfile(path) -> list[tuple[int, int]]:
 
 
 def _wlo_triangle() -> Iterator[int]:
-    n = 1
-    while True:
+    for n in count(1):
         yield from wlo_bucket(n).order
-        n += 1
 
 
 def _mask_serial_triangle() -> Iterator[int]:
-    n = 1
-    while True:
-        ms = masks_recursive(n)
-        for mask in ms.masks:
-            yield mask_paper_serial(mask)
-        n += 1
+    for n in count(1):
+        yield from map(mask_paper_serial, masks_recursive(n).masks)
 
 
-# name -> (first index, index -> value)
-_VALUE_SEQUENCES: dict[str, tuple[int, Callable[[int], int]]] = {
-    "A000120": (0, lambda i: i.bit_count()),
-    **{name: (1, seq.closed_form) for name, seq in SEQUENCES.items()},
-}
-
-# name -> (first index, flattened-triangle generator)
-_TRIANGLE_SEQUENCES: dict[str, tuple[int, Callable[[], Iterator[int]]]] = {
+# name -> (first index, a fresh stream of the terms from that index on)
+_SEQUENCES: dict[str, tuple[int, Callable[[], Iterator[int]]]] = {
+    "A000120": (0, lambda: map(int.bit_count, count(0))),
+    **{name: (1, lambda f=seq.closed_form: map(f, count(1))) for name, seq in SEQUENCES.items()},
     "A294648": (1, _wlo_triangle),
     "A305860": (1, _mask_serial_triangle),
 }
 
-KNOWN_SEQUENCES = tuple(sorted(_VALUE_SEQUENCES) + sorted(_TRIANGLE_SEQUENCES))
+KNOWN_SEQUENCES = tuple(sorted(_SEQUENCES))
 
 
 def validate_bfile(name: str, path) -> list[tuple[int, int, int]]:
@@ -67,26 +59,17 @@ def validate_bfile(name: str, path) -> list[tuple[int, int, int]]:
     pairs = parse_bfile(path)
     if not pairs:
         raise ValueError(f"{path}: empty fixture")
-    mismatches = []
-    if name in _VALUE_SEQUENCES:
-        first, fn = _VALUE_SEQUENCES[name]
-        for pos, (idx, got) in enumerate(pairs):
-            if idx != first + pos:
-                raise ValueError(f"{path}: indices must be contiguous from {first}")
-            want = fn(idx)
-            if got != want:
-                mismatches.append((idx, want, got))
-    elif name in _TRIANGLE_SEQUENCES:
-        first, gen = _TRIANGLE_SEQUENCES[name]
-        stream = gen()
-        for pos, (idx, got) in enumerate(pairs):
-            if idx != first + pos:
-                raise ValueError(f"{path}: indices must be contiguous from {first}")
-            want = next(stream)
-            if got != want:
-                mismatches.append((idx, want, got))
-    else:
+    if name not in _SEQUENCES:
         raise ValueError(f"unknown sequence {name!r}")
+    first, terms = _SEQUENCES[name]
+    stream = terms()
+    mismatches = []
+    for pos, (idx, got) in enumerate(pairs):
+        if idx != first + pos:
+            raise ValueError(f"{path}: indices must be contiguous from {first}")
+        want = next(stream)
+        if got != want:
+            mismatches.append((idx, want, got))
     return mismatches
 
 

@@ -10,7 +10,7 @@ coefficient vector, which shares the truth-table layout.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cube import cached_weight_table, check_dim
 from .masks import LayerMask, MaskSet, word_count
@@ -32,10 +32,6 @@ class TruthTable:
         check_dim(self.n)
         if not isinstance(self.bits, int) or self.bits < 0 or self.bits >> (1 << self.n):
             raise ValueError(f"truth table bits must be an int in [0, 2^{1 << self.n}) for n={self.n}")
-
-    @classmethod
-    def from_int(cls, n: int, value: int) -> "TruthTable":
-        return cls(n, value)
 
     @classmethod
     def from_bits(cls, n: int, ones: "set[int] | list[int]") -> "TruthTable":
@@ -61,15 +57,11 @@ class TruthTable:
             raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
         return cls(n, int.from_bytes(data, "little"))
 
-    def to_int(self) -> int:
-        return self.bits
-
     def to_bitstring(self) -> str:
         return format(self.bits, f"0{1 << self.n}b")[::-1]
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     serial: int
     weight: int
 
@@ -122,38 +114,28 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
     return SearchHit(best, best_w)
 
 
-def wlo_search_max(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
-    """Scan the WLO sequence from its heavy end; stop at the first hit."""
+def _wlo_scan(tt: TruthTable, seq: WloSequence, serials, stats: Optional[SearchStats]) -> Optional[SearchHit]:
+    """Probe `serials`, seq.order read from one end; stop at the first hit."""
     _check_same_dim(tt.n, seq.n, "sequence")
     view = _byte_view(tt)
-    order = seq.order
-    probes = 0
-    for i in range(len(order) - 1, -1, -1):
-        s = order[i]
-        probes += 1
+    probes, hit = 0, None
+    for probes, s in enumerate(serials, 1):
         if (view[s >> 3] >> (s & 7)) & 1:
-            if stats is not None:
-                stats.probes += probes
-            return SearchHit(s, s.bit_count())
+            hit = SearchHit(s, s.bit_count())
+            break
     if stats is not None:
         stats.probes += probes
-    return None
+    return hit
+
+
+def wlo_search_max(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
+    """Scan the WLO sequence from its heavy end; stop at the first hit."""
+    return _wlo_scan(tt, seq, reversed(seq.order), stats)
 
 
 def wlo_search_min(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
     """Scan the WLO sequence from its light end; stop at the first hit."""
-    _check_same_dim(tt.n, seq.n, "sequence")
-    view = _byte_view(tt)
-    probes = 0
-    for s in seq.order:
-        probes += 1
-        if (view[s >> 3] >> (s & 7)) & 1:
-            if stats is not None:
-                stats.probes += probes
-            return SearchHit(s, s.bit_count())
-    if stats is not None:
-        stats.probes += probes
-    return None
+    return _wlo_scan(tt, seq, seq.order, stats)
 
 
 def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats] = None) -> Optional[int]:
@@ -163,14 +145,17 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
     via layer_support.
     """
     _check_same_dim(tt.n, ms.n, "mask set")
-    bits = tt.bits
+    bits, hit = tt.bits, None
     for row in range(tt.n, -1, -1):
-        if stats is not None:
-            stats.rows_tested += 1
-            stats.word_ops += word_count(tt.n)
         if bits & ms.masks[row].bits:
-            return row
-    return None
+            hit = row
+            break
+    if stats is not None:
+        # row is the hit, or 0 after a miss on every row
+        tested = tt.n + 1 - row
+        stats.rows_tested += tested
+        stats.word_ops += tested * word_count(tt.n)
+    return hit
 
 
 def layer_support(tt: TruthTable, mask: LayerMask) -> list[int]:

@@ -7,6 +7,8 @@ recursion that builds row n from row n-1.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import comb
 
 from .cube import cached_weight_table, check_dim
 
@@ -40,27 +42,13 @@ class WloSequence:
 def build_pascal_tables(n: int) -> PascalTables:
     """Triangular binomial table and its rowwise prefix sums."""
     check_dim(n)
-    binom = [(1,)]
-    begins = [(0,)]
-    for r in range(1, n + 1):
-        prev = binom[r - 1]
-        row = [1]
-        for c in range(1, r):
-            row.append(prev[c - 1] + prev[c])
-        row.append(1)
-        acc = 0
-        beg = []
-        for v in row:
-            beg.append(acc)
-            acc += v
-        binom.append(tuple(row))
-        begins.append(tuple(beg))
-    return PascalTables(n, tuple(binom), tuple(begins))
+    binom = tuple(tuple(comb(r, c) for c in range(r + 1)) for r in range(n + 1))
+    begins = tuple(tuple(accumulate(row[:-1], initial=0)) for row in binom)
+    return PascalTables(n, binom, begins)
 
 
 def _layer_offsets(n: int) -> list[int]:
-    pt = build_pascal_tables(n)
-    return list(pt.subseq_begin[n]) + [1 << n]
+    return list(accumulate((comb(n, k) for k in range(n + 1)), initial=0))
 
 
 def wlo_bucket(n: int) -> WloSequence:

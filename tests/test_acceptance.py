@@ -139,7 +139,7 @@ def test_search_equivalence():
         ms = masks_recursive(n)
         size = 1 << n
         for _ in range(10**4):
-            tt = TruthTable.from_int(n, rng.getrandbits(size))
+            tt = TruthTable(n, rng.getrandbits(size))
             ex = exhaustive_max(tt)
             wl = wlo_search_max(tt, seq)
             bw = bitwise_search_max(tt, ms)
@@ -159,11 +159,11 @@ def test_degree_pipeline():
         size = 1 << n
         ms = masks_recursive(n)
         for _ in range(10**3):
-            tt = TruthTable.from_int(n, rng.getrandbits(size))
+            tt = TruthTable(n, rng.getrandbits(size))
             assert mobius_transform(mobius_transform(tt)) == tt
         for _ in range(200):
-            anf = TruthTable.from_int(n, rng.getrandbits(size))
-            v = anf.to_int()
+            anf = TruthTable(n, rng.getrandbits(size))
+            v = anf.bits
             oracle = max((i.bit_count() for i in range(size) if (v >> i) & 1), default=None)
             assert algebraic_degree(anf, ms) == oracle
     report("Degree pipeline")

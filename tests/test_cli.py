@@ -133,6 +133,24 @@ def test_bench_gen_and_run(capsys, tmp_path):
     assert "exhaustive:" in out and "wlo:" in out and "bitwise:" in out
 
 
+def test_bench_gen_rejects_bad_dimension(capsys, tmp_path):
+    corpus = tmp_path / "c.bin"
+    code, out, err = run(capsys, "bench", "--gen", "--n", "0", "--corpus", str(corpus), "--count", "10")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_run_rejects_meta_missing_key(capsys, tmp_path):
+    corpus = tmp_path / "c.bin"
+    corpus.write_bytes(bytes(8))
+    meta = tmp_path / "c.bin.meta"
+    meta.write_text("seed=1\n")
+    code, out, err = run(capsys, "bench", "--run", "--n", "6", "--corpus", str(corpus))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(meta) in err and "word_count" in err
+
+
 def test_fixtures_pass(capsys):
     code, out, _ = run(capsys, "fixtures", "--dir", str(FIXTURES))
     assert code == 0

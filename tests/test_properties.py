@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wlocube import (
+    SearchStats,
     TruthTable,
     bitwise_search_max,
     layer_support,
@@ -82,6 +83,24 @@ def test_search_commutes_with_complement(tt):
         assert hi is None
     else:
         assert (hi.serial, hi.weight) == (lo.serial ^ full, n - lo.weight)
+
+
+@given(tables())
+def test_search_counters(tt):
+    n, size = tt.n, 1 << tt.n
+    seq, ms = wlo(n), masks(n)
+    hi_stats, lo_stats, row_stats = SearchStats(), SearchStats(), SearchStats()
+    hi = wlo_search_max(tt, seq, hi_stats)
+    lo = wlo_search_min(tt, seq, lo_stats)
+    row = bitwise_search_max(tt, ms, row_stats)
+    if tt.bits == 0:
+        assert hi_stats.probes == lo_stats.probes == size
+        assert row_stats.rows_tested == n + 1
+    else:
+        assert hi_stats.probes == size - seq.order.index(hi.serial)
+        assert lo_stats.probes == seq.order.index(lo.serial) + 1
+        assert row_stats.rows_tested == n - row + 1
+    assert row_stats.word_ops == row_stats.rows_tested * word_count(n)
 
 
 @given(dims)

@@ -25,7 +25,7 @@ def make_tt(n, bits):
 
 
 def random_tt(rng, n):
-    return TruthTable.from_int(n, rng.getrandbits(1 << n))
+    return TruthTable(n, rng.getrandbits(1 << n))
 
 
 def test_truth_table_construction():
@@ -133,10 +133,10 @@ def test_mobius_matches_reference():
     for n in (1, 3, 5, 6, 7, 8):
         for _ in range(20):
             tt = random_tt(rng, n)
-            bits = [(tt.to_int() >> i) & 1 for i in range(1 << n)]
+            bits = [(tt.bits >> i) & 1 for i in range(1 << n)]
             expect = reference(bits, n)
             got = mobius_transform(tt)
-            assert [(got.to_int() >> i) & 1 for i in range(1 << n)] == expect
+            assert [(got.bits >> i) & 1 for i in range(1 << n)] == expect
 
 
 def test_mobius_involution():
@@ -161,7 +161,7 @@ def test_algebraic_degree_matches_popcount_oracle():
         ms = masks_recursive(n)
         for _ in range(40):
             anf = random_tt(rng, n)
-            v = anf.to_int()
+            v = anf.bits
             oracle = max((i.bit_count() for i in range(1 << n) if (v >> i) & 1), default=None)
             assert algebraic_degree(anf, ms) == oracle
 
