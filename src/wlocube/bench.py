@@ -28,6 +28,10 @@ ALGORITHMS = ("exhaustive", "wlo", "bitwise")
 
 _MASK64 = (1 << 64) - 1
 
+# bench --gen refuses a larger corpus: run_bench reads a corpus whole and
+# parses every function into memory.
+MAX_CORPUS_BYTES = 1 << 30
+
 
 def splitmix64(seed: int):
     """Endless stream of 64-bit words from the splitmix64 generator."""
@@ -104,7 +108,10 @@ def load_corpus(path) -> Corpus:
     fields = {}
     for line in meta.read_text().splitlines():
         key, _, value = line.partition("=")
-        fields[key] = int(value)
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{meta}: key {key!r} has a non-integer value {value!r}") from None
     try:
         return Corpus(path, fields["word_count"], fields["words_per_function"], fields["seed"])
     except KeyError as exc:

@@ -98,6 +98,12 @@ def _cmd_bench(args) -> int:
     check_dim(args.n)
     if args.gen:
         wpf = word_count(args.n)
+        size = 8 * wpf * args.count
+        if size > bench_mod.MAX_CORPUS_BYTES:
+            raise ValueError(
+                f"--count {args.count} at --n {args.n} makes a {size}-byte corpus,"
+                f" over the limit of {bench_mod.MAX_CORPUS_BYTES} bytes"
+            )
         bench_mod.gen_corpus(args.count, wpf, args.seed, args.corpus, significant_bits=1 << args.n)
         print(f"wrote {args.count} functions of {args.n} variables to {args.corpus}")
         return 0
@@ -175,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--run", action="store_true")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--count", type=int, default=10000, help=f"functions to generate, at most {bench_mod.MAX_CORPUS_BYTES} bytes in all")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--algorithms", default=None, help="comma-separated subset of exhaustive,wlo,bitwise")
     p.add_argument("--report", default=None, help="write a CSV report here")

@@ -15,6 +15,26 @@ from .masks import mask_paper_serial, masks_recursive
 from .wlo import wlo_bucket
 
 
+# int() of a str longer than this is never refused, whatever the process's
+# digit limit (Python 3.11+ and 3.10.7+: 4300 by default, 640 at least)
+_SAFE_DIGITS = 640
+
+
+def _parse_int(text: str) -> int:
+    """int(text) for any number of digits, leaving the digit limit alone."""
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    sign = -1 if text[0] == "-" else 1
+    digits = text[1:] if text[0] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer of {len(text)} characters: {text[:20]}...")
+    value = 0
+    for i in range(0, len(digits), _SAFE_DIGITS):
+        chunk = digits[i : i + _SAFE_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
 def parse_bfile(path) -> list[tuple[int, int]]:
     """Read (index, value) pairs, skipping comments and blank lines."""
     pairs = []
@@ -25,7 +45,7 @@ def parse_bfile(path) -> list[tuple[int, int]]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'index value', got {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append((int(parts[0]), _parse_int(parts[1])))
     return pairs
 
 

@@ -6,8 +6,18 @@ scan, a scan along the WLO sequence that stops at the first hit, and a
 layer scan that ANDs the table against one layer mask at a time.  The
 module also computes the algebraic degree of a function from its ANF
 coefficient vector, which shares the truth-table layout.
+
+The WLO scan visits the serials of the sequence in order, but tests them a
+byte run at a time: inside one weight layer the serials that share a byte
+of the table are consecutive, so one view[b] & mask tests them all, and
+the first set bit of the first nonzero AND is the first hit.  The runs of
+each end are built the first time a scan reaches their layer and kept on
+the WloSequence (WloSequence.scan_runs).  SearchStats.probes is still the
+number of serials the paper's scan probes: the hit's position in the scan,
+found by bisecting its layer of seq.order, or 2^n on a miss.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -82,16 +92,16 @@ class SearchStats:
 # per byte value: the positions of its set bits, and a 0/1 nonzero flag
 _BYTE_ONES = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
 _NONZERO_BYTE = bytes([0] + [1] * 255)
+# per byte value: its first set bit in scan order, indexed by `heavy`
+_FIRST_BIT = (
+    tuple((v & -v).bit_length() - 1 for v in range(256)),  # light end: the lowest
+    tuple(v.bit_length() - 1 for v in range(256)),  # heavy end: the highest
+)
 
 
 def _check_same_dim(n: int, other: int, what: str) -> None:
     if n != other:
         raise ValueError(f"dimension mismatch: truth table has n={n}, {what} has n={other}")
-
-
-def _byte_view(tt: TruthTable) -> bytes:
-    """Bit i of the table is bit i % 8 of byte i // 8."""
-    return tt.bits.to_bytes(((1 << tt.n) + 7) >> 3, "little")
 
 
 def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
@@ -114,28 +124,43 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
     return SearchHit(best, best_w)
 
 
-def _wlo_scan(tt: TruthTable, seq: WloSequence, serials, stats: Optional[SearchStats]) -> Optional[SearchHit]:
-    """Probe `serials`, seq.order read from one end; stop at the first hit."""
-    _check_same_dim(tt.n, seq.n, "sequence")
-    view = _byte_view(tt)
-    probes, hit = 0, None
-    for probes, s in enumerate(serials, 1):
-        if (view[s >> 3] >> (s & 7)) & 1:
-            hit = SearchHit(s, s.bit_count())
-            break
+def _wlo_scan(tt: TruthTable, seq: WloSequence, heavy: bool, stats: Optional[SearchStats]) -> Optional[SearchHit]:
+    """Probe seq.order from one end, a byte run at a time; stop at the first hit.
+
+    The first set bit of the first nonzero view[b] & mask is the first hit
+    in scan order: the lowest bit from the light end, the highest from the
+    heavy end.  probes is the hit's position in the scan, 2^n on a miss.
+    """
+    n = tt.n
+    if n != seq.n:
+        _check_same_dim(n, seq.n, "sequence")
+    view = tt.bits.to_bytes(((1 << n) + 7) >> 3, "little")
+    runs = seq.scan_runs[heavy]
+    built = runs.built  # layers that entries holds at least; see ScanRuns
+    chunk = runs.entries
+    while chunk:
+        for b, m in zip(*chunk):
+            if view[b] & m:
+                s = b << 3 | _FIRST_BIT[heavy][view[b] & m]
+                k = s.bit_count()
+                if stats is not None:
+                    i = bisect_left(seq.order, s, seq.layer_offsets[k], seq.layer_offsets[k + 1])
+                    stats.probes += (1 << n) - i if heavy else i + 1
+                return SearchHit(s, k)
+        chunk, built = runs.grow(built)
     if stats is not None:
-        stats.probes += probes
-    return hit
+        stats.probes += 1 << n
+    return None
 
 
 def wlo_search_max(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
     """Scan the WLO sequence from its heavy end; stop at the first hit."""
-    return _wlo_scan(tt, seq, reversed(seq.order), stats)
+    return _wlo_scan(tt, seq, True, stats)
 
 
 def wlo_search_min(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
     """Scan the WLO sequence from its light end; stop at the first hit."""
-    return _wlo_scan(tt, seq, seq.order, stats)
+    return _wlo_scan(tt, seq, False, stats)
 
 
 def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats] = None) -> Optional[int]:

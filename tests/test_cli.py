@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from wlocube import bench as bench_mod
 from wlocube.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -149,6 +150,42 @@ def test_bench_run_rejects_meta_missing_key(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert str(meta) in err and "word_count" in err
+
+
+def test_bench_run_rejects_meta_non_integer(capsys, tmp_path):
+    corpus = tmp_path / "c.bin"
+    corpus.write_bytes(bytes(8))
+    meta = tmp_path / "c.bin.meta"
+    meta.write_text("word_count=1\nwords_per_function=1\nseed=x1\n")
+    code, out, err = run(capsys, "bench", "--run", "--n", "6", "--corpus", str(corpus))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(meta) in err and "'seed'" in err and "x1" in err
+
+
+def test_bench_gen_rejects_oversized_corpus(capsys, tmp_path, monkeypatch):
+    # at n=30 one function is 2^27 bytes, so the default --count asks for 1.3 TB;
+    # gen_corpus is stubbed so that a missing check fails instead of writing
+    def no_write(*args, **kwargs):
+        raise AssertionError("gen_corpus called for an oversized corpus")
+
+    monkeypatch.setattr(bench_mod, "gen_corpus", no_write)
+    corpus = tmp_path / "c.bin"
+    for argv in (("--n", "30"), ("--n", "20", "--count", "100000")):
+        code, out, err = run(capsys, "bench", "--gen", *argv, "--corpus", str(corpus))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--count" in err and "--n" in err and str(bench_mod.MAX_CORPUS_BYTES) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_gen_size_limit_is_inclusive(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_mod, "MAX_CORPUS_BYTES", 8 * 100)
+    corpus = tmp_path / "c.bin"
+    code, _, err = run(capsys, "bench", "--gen", "--n", "6", "--corpus", str(corpus), "--count", "101")
+    assert code == 1 and "error:" in err and not corpus.exists()
+    code, _, _ = run(capsys, "bench", "--gen", "--n", "6", "--corpus", str(corpus), "--count", "100")
+    assert code == 0 and corpus.stat().st_size == 800
 
 
 def test_fixtures_pass(capsys):

@@ -1,7 +1,9 @@
+import sys
 from pathlib import Path
 
 import pytest
 
+from wlocube.counts import SEQUENCES
 from wlocube.fixtures import KNOWN_SEQUENCES, parse_bfile, validate_bfile, validate_directory
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -54,3 +56,34 @@ def test_unknown_sequence_rejected(tmp_path):
     p.write_text("1 1\n")
     with pytest.raises(ValueError):
         validate_bfile("A999999", p)
+
+
+def test_long_terms_parse_under_the_digit_limit(tmp_path):
+    # A051459(12) has 9535 digits; Python 3.11+ and 3.10.7+ refuse int() of
+    # a str over 4300 digits unless the process-wide limit is lifted
+    terms = [SEQUENCES["A051459"].closed_form(n) for n in range(1, 13)]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "".join(f"{n} {t}\n" for n, t in enumerate(terms, 1))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert max(len(line) for line in text.splitlines()) > 9000
+    p = tmp_path / "b051459.txt"
+    p.write_text(text)
+    assert [v for _, v in parse_bfile(p)] == terms
+    assert validate_bfile("A051459", p) == []
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_parse_bfile_long_signed_and_malformed_terms(tmp_path):
+    digits = "7" * 1500  # over the 640 digits that int() always accepts
+    p = tmp_path / "b.txt"
+    p.write_text(f"1 -{digits}\n2 +{digits}\n3 {digits}\n")
+    assert parse_bfile(p) == [(1, -int(digits)), (2, int(digits)), (3, int(digits))]
+    p.write_text(f"1 {digits}x\n")
+    with pytest.raises(ValueError):
+        parse_bfile(p)

@@ -1,0 +1,138 @@
+"""The WLO scans against a literal walk over seq.order.
+
+wlo_search_max/_min test a byte run per AND and derive the probe count from
+the hit's position; the oracle here probes one serial at a time and counts
+every probe, as the paper's scan does.
+"""
+
+import copy
+import pickle
+import random
+import sys
+import threading
+from functools import lru_cache
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wlocube import SearchHit, SearchStats, TruthTable, wlo_bucket, wlo_search_max, wlo_search_min
+
+# wlo_bucket rebuilds the sequence (and its runs) on every call
+wlo = lru_cache(maxsize=None)(wlo_bucket)
+
+
+def literal_scan(bits, serials):
+    """(hit, probes) of a serial-by-serial walk, stopping at the first set bit."""
+    probes = 0
+    for s in serials:
+        probes += 1
+        if (bits >> s) & 1:
+            return SearchHit(s, s.bit_count()), probes
+    return None, probes
+
+
+def check_both_ends(tt):
+    seq = wlo(tt.n)
+    for search, serials in ((wlo_search_max, seq.order[::-1]), (wlo_search_min, seq.order)):
+        stats = SearchStats()
+        hit = search(tt, seq, stats)
+        assert (hit, stats.probes) == literal_scan(tt.bits, serials)
+        # a second call on the same sequence reads the runs built by the first
+        assert search(tt, seq) == hit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_function_matches_literal_scan(n):
+    for bits in range(1 << (1 << n)):
+        check_both_ends(TruthTable(n, bits))
+
+
+@st.composite
+def sparse_tables(draw):
+    n = draw(st.integers(1, 12))
+    ones = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    return TruthTable.from_bits(n, ones)
+
+
+@st.composite
+def dense_tables(draw):
+    n = draw(st.integers(1, 12))
+    return TruthTable(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+
+@given(sparse_tables())
+def test_sparse_matches_literal_scan(tt):
+    check_both_ends(tt)
+
+
+@given(dense_tables())
+def test_dense_matches_literal_scan(tt):
+    check_both_ends(tt)
+
+
+def test_miss_on_a_fresh_sequence_counts_every_probe():
+    # the lazy build reaches the far end on a miss
+    for n in (1, 3, 9):
+        for search in (wlo_search_max, wlo_search_min):
+            stats = SearchStats()
+            assert search(TruthTable(n, 0), wlo_bucket(n), stats) is None
+            assert stats.probes == 1 << n
+
+
+def test_scanned_sequence_copies():
+    seq = wlo_bucket(6)
+    tt = TruthTable(6, 1 << 21)
+    hit = wlo_search_max(tt, seq)
+    for clone in (pickle.loads(pickle.dumps(seq)), copy.deepcopy(seq)):
+        assert clone == seq
+        assert wlo_search_max(tt, clone) == hit and wlo_search_min(tt, clone) == hit
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_runs_expand_to_the_sequence(n):
+    seq = wlo_bucket(n)
+    for heavy, want in ((False, seq.order), (True, seq.order[::-1])):
+        runs = seq.scan_runs[heavy]
+        while runs.grow(runs.built)[0] is not None:
+            pass
+        index, mask = runs.entries
+        assert len(index) == len(mask)
+        got = []
+        for b, m in zip(index, mask):
+            bits = [b << 3 | p for p in range(8) if (m >> p) & 1]
+            # a run is never empty and never spans two layers
+            assert bits and len({s.bit_count() for s in bits}) == 1
+            got += reversed(bits) if heavy else bits
+        assert got == want
+
+
+def test_threads_sharing_a_fresh_sequence():
+    # every thread's scans grow the same runs; a scan must still test every
+    # layer in order, whichever thread built it
+    n = 12
+    rng = random.Random(5)
+    tables = [TruthTable(n, 1 << rng.randrange(1 << n)) for _ in range(64)]
+    wrong = []
+
+    def work(seq, seed):
+        for tt in random.Random(seed).sample(tables, 16):
+            s = tt.bits.bit_length() - 1
+            for search in (wlo_search_max, wlo_search_min):
+                if search(tt, seq) != SearchHit(s, s.bit_count()):
+                    wrong.append((search.__name__, s))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            seq = wlo_bucket(n)
+            threads = [threading.Thread(target=work, args=(seq, 4 * trial + i)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
