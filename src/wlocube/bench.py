@@ -3,7 +3,7 @@
 A corpus is a flat file of raw little-endian 64-bit words produced by a
 seeded splitmix64 stream, consecutive groups of W words forming one truth
 table.  run_bench reads the file once and parses every function with
-TruthTable.from_raw, builds the WLO sequence and the layer masks, then
+TruthTable.from_raw, builds the layer masks, then
 times exhaustive_max, wlo_search_max and bitwise_search_max, one pass each
 over all functions; I/O and parsing never land inside a timed region.
 Each pass counts its ops through one SearchStats: probes for exhaustive
@@ -22,7 +22,6 @@ from statistics import median
 from .cube import check_dim
 from .masks import masks_recursive, word_count
 from .search import SearchStats, TruthTable, bitwise_search_max, exhaustive_max, wlo_search_max
-from .wlo import wlo_bucket
 
 ALGORITHMS = ("exhaustive", "wlo", "bitwise")
 
@@ -138,7 +137,6 @@ def run_bench(corpus: Corpus, n: int, algorithms=ALGORITHMS) -> BenchReport:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
     algorithms = [a for a in ALGORITHMS if a in algorithms]
     tables = _load_tables(corpus, n)
-    seq = wlo_bucket(n)
     ms = masks_recursive(n)
 
     results = []
@@ -148,7 +146,7 @@ def run_bench(corpus: Corpus, n: int, algorithms=ALGORITHMS) -> BenchReport:
         if algo == "exhaustive":
             found = [exhaustive_max(tt, stats) for tt in tables]
         elif algo == "wlo":
-            found = [wlo_search_max(tt, seq, stats) for tt in tables]
+            found = [wlo_search_max(tt, stats=stats) for tt in tables]
         else:
             found = [bitwise_search_max(tt, ms, stats) for tt in tables]
         seconds = time.perf_counter() - t0
@@ -168,11 +166,10 @@ def run_bench(corpus: Corpus, n: int, algorithms=ALGORITHMS) -> BenchReport:
 
 def median_wlo_probes(corpus: Corpus, n: int) -> float:
     """Median per-function probe count of wlo_search_max over a corpus."""
-    seq = wlo_bucket(n)
     probes = []
     for tt in _load_tables(corpus, n):
         stats = SearchStats()
-        wlo_search_max(tt, seq, stats)
+        wlo_search_max(tt, stats=stats)
         probes.append(stats.probes)
     return float(median(probes))
 
@@ -185,14 +182,3 @@ def write_report(report: BenchReport, path) -> None:
         for r in report.results:
             writer.writerow([report.n, report.function_count, r.algorithm, repr(r.seconds), r.ops])
 
-
-def read_report(path) -> BenchReport:
-    """Parse a CSV report back (histograms are not serialized)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["n", "functions", "algorithm", "seconds", "ops"]:
-        raise ValueError("not a bench report")
-    results = [AlgoResult(r[2], float(r[3]), int(r[4])) for r in rows[1:]]
-    n = int(rows[1][0]) if len(rows) > 1 else 0
-    functions = int(rows[1][1]) if len(rows) > 1 else 0
-    return BenchReport(n, functions, results)

@@ -49,8 +49,7 @@ def _cmd_masks(args) -> int:
 
 def _cmd_search(args) -> int:
     tt = _load_truth_table(args.n, args.tt)
-    seq = wlo_bucket(args.n)
-    hit = wlo_search_min(tt, seq) if args.min else wlo_search_max(tt, seq)
+    hit = wlo_search_min(tt) if args.min else wlo_search_max(tt)
     print("none" if hit is None else f"{hit.serial} {hit.weight}")
     return 0
 
@@ -98,11 +97,11 @@ def _cmd_bench(args) -> int:
     check_dim(args.n)
     if args.gen:
         wpf = word_count(args.n)
-        size = 8 * wpf * args.count
-        if size > bench_mod.MAX_CORPUS_BYTES:
+        max_count = bench_mod.MAX_CORPUS_BYTES // (8 * wpf)
+        if not 1 <= args.count <= max_count:
             raise ValueError(
-                f"--count {args.count} at --n {args.n} makes a {size}-byte corpus,"
-                f" over the limit of {bench_mod.MAX_CORPUS_BYTES} bytes"
+                f"--count must be in [1, {max_count}] at --n {args.n}, for a corpus of at most"
+                f" {bench_mod.MAX_CORPUS_BYTES} bytes; got {args.count}"
             )
         bench_mod.gen_corpus(args.count, wpf, args.seed, args.corpus, significant_bits=1 << args.n)
         print(f"wrote {args.count} functions of {args.n} variables to {args.corpus}")

@@ -8,6 +8,7 @@ with mask_paper_serial.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cube import check_dim, check_serial
 from .wlo import WloSequence, layer_slice
@@ -50,8 +51,9 @@ def masks_from_wlo(seq: WloSequence) -> MaskSet:
     return MaskSet(n, tuple(masks))
 
 
+@lru_cache(maxsize=None)
 def masks_recursive(n: int) -> MaskSet:
-    """Build the masks by doubling from dimension 1.
+    """Build the masks by doubling from dimension 1; cached per n.
 
     The layer-i mask for dimension r is the layer-i mask of dimension r-1
     in the low 2^(r-1) bits and the layer-(i-1) mask in the high half

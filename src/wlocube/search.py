@@ -7,23 +7,23 @@ layer scan that ANDs the table against one layer mask at a time.  The
 module also computes the algebraic degree of a function from its ANF
 coefficient vector, which shares the truth-table layout.
 
-The WLO scan visits the serials of the sequence in order, but tests them a
-byte run at a time: inside one weight layer the serials that share a byte
-of the table are consecutive, so one view[b] & mask tests them all, and
-the first set bit of the first nonzero AND is the first hit.  The runs of
-each end are built the first time a scan reaches their layer and kept on
-the WloSequence (WloSequence.scan_runs).  SearchStats.probes is still the
-number of serials the paper's scan probes: the hit's position in the scan,
-found by bisecting its layer of seq.order, or 2^n on a miss.
+Every search is one loop over the layer masks (_first_layer): AND the
+table against layer k, for k from n down (heavy end) or from 0 up (light
+end), and stop at the first nonzero AND.  The paper's WLO scan stops at
+the first support vector along l_n; inside a layer l_n ascends, so that
+vector is the highest set bit of the AND from the heavy end and the
+lowest from the light end.  SearchStats.probes is still the number of
+serials the paper's scan probes: the hit's position in l_n, which is the
+layers below it plus its colex rank inside its layer, or 2^n on a miss.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple, Optional
 
 from .cube import cached_weight_table, check_dim
-from .masks import LayerMask, MaskSet, word_count
+from .masks import LayerMask, MaskSet, masks_recursive, word_count
 from .wlo import WloSequence
 
 
@@ -92,11 +92,6 @@ class SearchStats:
 # per byte value: the positions of its set bits, and a 0/1 nonzero flag
 _BYTE_ONES = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
 _NONZERO_BYTE = bytes([0] + [1] * 255)
-# per byte value: its first set bit in scan order, indexed by `heavy`
-_FIRST_BIT = (
-    tuple((v & -v).bit_length() - 1 for v in range(256)),  # light end: the lowest
-    tuple(v.bit_length() - 1 for v in range(256)),  # heavy end: the highest
-)
 
 
 def _check_same_dim(n: int, other: int, what: str) -> None:
@@ -124,42 +119,68 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
     return SearchHit(best, best_w)
 
 
-def _wlo_scan(tt: TruthTable, seq: WloSequence, heavy: bool, stats: Optional[SearchStats]) -> Optional[SearchHit]:
-    """Probe seq.order from one end, a byte run at a time; stop at the first hit.
+def _first_layer(bits: int, ms: MaskSet, heavy: bool) -> tuple[Optional[int], int]:
+    """(k, bits & mask k) for the first layer k in scan order whose AND is nonzero.
 
-    The first set bit of the first nonzero view[b] & mask is the first hit
-    in scan order: the lowest bit from the light end, the highest from the
-    heavy end.  probes is the hit's position in the scan, 2^n on a miss.
+    The heavy end tests layers n down to 0, the light end 0 up to n.
+    (None, 0) when every AND is zero.
+    """
+    for mask in reversed(ms.masks) if heavy else ms.masks:
+        x = bits & mask.bits
+        if x:
+            return mask.k, x
+    return None, 0
+
+
+def _wlo_position(n: int, s: int) -> int:
+    """Index of serial s in l_n.
+
+    The layers below wt(s) come first.  Inside its layer l_n ascends, which
+    is the colex order of k-subsets, so the rank of s there is the sum of
+    C(c_i, i) over its set-bit positions c_1 < ... < c_k (TAOCP 4A,
+    7.2.1.3, Theorem L).
+    """
+    k = s.bit_count()
+    pos = sum(comb(n, j) for j in range(k))
+    for i in range(1, k + 1):
+        low = s & -s
+        pos += comb(low.bit_length() - 1, i)
+        s ^= low
+    return pos
+
+
+def _wlo_scan(tt: TruthTable, seq: Optional[WloSequence], heavy: bool, stats: Optional[SearchStats]) -> Optional[SearchHit]:
+    """The paper's scan of l_n from one end: the extreme serial of the first nonempty layer.
+
+    probes is the hit's 1-based position in the scan, 2^n on a miss.
     """
     n = tt.n
-    if n != seq.n:
+    if seq is not None and seq.n != n:
         _check_same_dim(n, seq.n, "sequence")
-    view = tt.bits.to_bytes(((1 << n) + 7) >> 3, "little")
-    runs = seq.scan_runs[heavy]
-    built = runs.built  # layers that entries holds at least; see ScanRuns
-    chunk = runs.entries
-    while chunk:
-        for b, m in zip(*chunk):
-            if view[b] & m:
-                s = b << 3 | _FIRST_BIT[heavy][view[b] & m]
-                k = s.bit_count()
-                if stats is not None:
-                    i = bisect_left(seq.order, s, seq.layer_offsets[k], seq.layer_offsets[k + 1])
-                    stats.probes += (1 << n) - i if heavy else i + 1
-                return SearchHit(s, k)
-        chunk, built = runs.grow(built)
+    k, x = _first_layer(tt.bits, masks_recursive(n), heavy)
+    if k is None:
+        if stats is not None:
+            stats.probes += 1 << n
+        return None
+    s = x.bit_length() - 1 if heavy else (x & -x).bit_length() - 1
     if stats is not None:
-        stats.probes += 1 << n
-    return None
+        # complementing maps l_n read from its heavy end onto l_n, so the
+        # heavy end's 2^n - pos(s) is pos(~s) + 1, a rank over few bits
+        stats.probes += _wlo_position(n, s ^ ((1 << n) - 1) if heavy else s) + 1
+    return SearchHit(s, k)
 
 
-def wlo_search_max(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
-    """Scan the WLO sequence from its heavy end; stop at the first hit."""
+def wlo_search_max(tt: TruthTable, seq: Optional[WloSequence] = None, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
+    """Scan the WLO sequence from its heavy end; stop at the first hit.
+
+    seq, when given, is only checked against tt's dimension: the scan reads
+    the layer masks, and the result is the same without it.
+    """
     return _wlo_scan(tt, seq, True, stats)
 
 
-def wlo_search_min(tt: TruthTable, seq: WloSequence, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
-    """Scan the WLO sequence from its light end; stop at the first hit."""
+def wlo_search_min(tt: TruthTable, seq: Optional[WloSequence] = None, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
+    """Scan the WLO sequence from its light end; stop at the first hit (seq as for wlo_search_max)."""
     return _wlo_scan(tt, seq, False, stats)
 
 
@@ -170,14 +191,10 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
     via layer_support.
     """
     _check_same_dim(tt.n, ms.n, "mask set")
-    bits, hit = tt.bits, None
-    for row in range(tt.n, -1, -1):
-        if bits & ms.masks[row].bits:
-            hit = row
-            break
+    hit, _ = _first_layer(tt.bits, ms, True)
     if stats is not None:
-        # row is the hit, or 0 after a miss on every row
-        tested = tt.n + 1 - row
+        # a miss tests every row, as a hit on row 0 does
+        tested = tt.n + 1 - (hit or 0)
         stats.rows_tested += tested
         stats.word_ops += tested * word_count(tt.n)
     return hit

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from wlocube import TruthTable, wlo_bucket, wlo_search_max
 from wlocube import bench as bench_mod
+from wlocube import cli as cli_mod
+from wlocube import wlo as wlo_mod
 from wlocube.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -41,6 +44,23 @@ def test_search_min_and_none(capsys):
     assert code == 0 and out.strip() == "6 2"
     code, out, _ = run(capsys, "search", "--n", "4", "--tt", "0" * 16)
     assert code == 0 and out.strip() == "none"
+
+
+def test_search_builds_no_wlo_sequence(capsys, monkeypatch):
+    bits = "1001011010101000"  # Example 2
+
+    def no_sequence(n):
+        raise AssertionError("search built the WLO sequence")
+
+    monkeypatch.setattr(wlo_mod, "wlo_bucket", no_sequence)
+    monkeypatch.setattr(cli_mod, "wlo_bucket", no_sequence)
+    code, out, _ = run(capsys, "search", "--n", "4", "--tt", bits)
+    assert code == 0 and out.strip() == "12 2"
+    code, out, _ = run(capsys, "search", "--n", "4", "--tt", bits, "--min")
+    assert code == 0 and out.strip() == "0 0"
+    # seq is only checked for its dimension, so the answer is the same without it
+    tt = TruthTable.from_bitstring(4, bits)
+    assert wlo_search_max(tt) == wlo_search_max(tt, wlo_bucket(4))
 
 
 def test_search_from_raw_file(capsys, tmp_path):
@@ -176,6 +196,17 @@ def test_bench_gen_rejects_oversized_corpus(capsys, tmp_path, monkeypatch):
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "--count" in err and "--n" in err and str(bench_mod.MAX_CORPUS_BYTES) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_gen_rejects_nonpositive_count(capsys, tmp_path):
+    corpus = tmp_path / "c.bin"
+    max_count = bench_mod.MAX_CORPUS_BYTES // (8 * bench_mod.word_count(10))
+    for count in ("0", "-3"):
+        code, out, err = run(capsys, "bench", "--gen", "--n", "10", "--count", count, "--corpus", str(corpus))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--count" in err and f"[1, {max_count}]" in err
     assert list(tmp_path.iterdir()) == []
 
 
