@@ -17,7 +17,7 @@ from .cube import (
     precedes,
     weight_of,
 )
-from .wlo import PascalTables, WloSequence, build_pascal_tables, layer_slice, wlo_bucket, wlo_recursive
+from .wlo import WloSequence, layer_serials, layer_slice, wlo_bucket, wlo_recursive
 from .masks import LayerMask, MaskSet, mask_paper_serial, mask_test, masks_from_wlo, masks_recursive
 from .search import (
     SearchHit,
@@ -48,11 +48,10 @@ __all__ = [
     "hamming_distance",
     "precedes",
     "adjacent_split",
-    "PascalTables",
     "WloSequence",
-    "build_pascal_tables",
     "wlo_bucket",
     "wlo_recursive",
+    "layer_serials",
     "layer_slice",
     "LayerMask",
     "MaskSet",

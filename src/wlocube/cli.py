@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 domain error (bad values, failed validation),
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import chain, islice
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -15,24 +17,38 @@ from .cube import check_dim
 from .masks import mask_bit_rows, mask_paper_serial, masks_recursive, word_count
 from .search import TruthTable, algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
 from .subsets import SubsetHandle, SubsetUniverse, k_subsets, members_in_order, rank, subsets_in_cardinality_order
-from .wlo import layer_slice, wlo_bucket
+from .wlo import layer_serials
 
-def _load_truth_table(n: int, spec: str) -> TruthTable:
+def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
     """Interpret --tt/--anf: an existing file of raw little-endian words,
     otherwise a string of 2^n '0'/'1' characters, coordinate 0 first."""
+    check_dim(n)
     path = Path(spec)
     if path.exists():
         return TruthTable.from_raw(n, path.read_bytes())
-    return TruthTable.from_bitstring(n, spec)
+    try:
+        return TruthTable.from_bitstring(n, spec)
+    except ValueError as exc:
+        raise ValueError(f"{option}: no such file, and {exc}") from None
 
 
 def _cmd_wlo(args) -> int:
-    seq = wlo_bucket(args.n)
-    serials = layer_slice(seq, args.layer) if args.layer is not None else seq.order
-    if args.out:
-        Path(args.out).write_text("\n".join(str(s) for s in serials) + "\n")
+    n = args.n
+    check_dim(n)
+    if args.layer is None:
+        layers = range(n + 1)
+    elif 0 <= args.layer <= n:
+        layers = (args.layer,)
     else:
-        print(" ".join(str(s) for s in serials))
+        raise ValueError(f"--layer must be in [0, {n}] at --n {n}, got {args.layer}")
+    # streamed a chunk of serials at a time, so memory stays flat at any n
+    serials = chain.from_iterable(layer_serials(n, k) for k in layers)
+    sep = "\n" if args.out else " "
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        out.write(str(next(serials)))
+        for chunk in iter(lambda: list(islice(serials, 1 << 16)), []):
+            out.write(sep + sep.join(map(str, chunk)))
+        out.write("\n")
     return 0
 
 
@@ -48,14 +64,14 @@ def _cmd_masks(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    tt = _load_truth_table(args.n, args.tt)
+    tt = _load_truth_table(args.n, args.tt, "--tt")
     hit = wlo_search_min(tt) if args.min else wlo_search_max(tt)
     print("none" if hit is None else f"{hit.serial} {hit.weight}")
     return 0
 
 
 def _cmd_degree(args) -> int:
-    anf = _load_truth_table(args.n, args.anf)
+    anf = _load_truth_table(args.n, args.anf, "--anf")
     if args.from_tt:
         anf = mobius_transform(anf)
     deg = algebraic_degree(anf, masks_recursive(args.n))

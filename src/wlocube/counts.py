@@ -13,6 +13,7 @@ from itertools import permutations
 from typing import Callable
 
 from .cube import cached_weight_table, precedes
+from .wlo import layer_serials
 
 ORACLE_CHAINS_PRECEDES_MAX_N = 5
 ORACLE_CHAINS_WO_MAX_N = 4
@@ -60,10 +61,7 @@ def oracle_count_chains(n: int, relation: str) -> int:
     if n > bound:
         raise ValueError(f"oracle_count_chains({relation!r}) is bounded at n <= {bound}")
 
-    wt = cached_weight_table(n)
-    layers = [[] for _ in range(n + 1)]
-    for s in range(1 << n):
-        layers[wt[s]].append(s)
+    layers = [list(layer_serials(n, k)) for k in range(n + 1)]
 
     def extend(k: int, prev: int) -> int:
         if k > n:

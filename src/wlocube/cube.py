@@ -31,23 +31,27 @@ def weight_of(serial: int, n: int) -> int:
 
 
 def build_weight_table(n: int) -> list[int]:
-    """Weights of all 2^n vectors, indexed by serial number.
+    """Weights of all 2^n vectors, indexed by serial number."""
+    return list(cached_weight_table(n))
+
+
+# bytes.translate table that adds 1 to every byte value
+_PLUS_ONE = bytes(range(1, 256)) + bytes(1)
+
+
+@lru_cache(maxsize=None)
+def cached_weight_table(n: int) -> bytes:
+    """Immutable weight table, one byte per serial; cached per n.
 
     Built by the doubling recurrence: the second half of the table is the
     first half with 1 added elementwise (the lower-half vectors are the
     upper-half vectors prefixed by 1).
     """
     check_dim(n)
-    table = [0, 1]
+    table = bytes([0, 1])
     for _ in range(n - 1):
-        table += [w + 1 for w in table]
+        table += table.translate(_PLUS_ONE)
     return table
-
-
-@lru_cache(maxsize=None)
-def cached_weight_table(n: int) -> bytes:
-    """Immutable weight table shared by the search and bench hot paths."""
-    return bytes(build_weight_table(n))
 
 
 def hamming_distance(a: int, b: int, n: int) -> int:

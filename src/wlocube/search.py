@@ -54,8 +54,10 @@ class TruthTable:
     def from_bitstring(cls, n: int, s: str) -> "TruthTable":
         """Parse a string of 2^n '0'/'1' characters, coordinate 0 first."""
         check_dim(n)
-        if len(s) != 1 << n or set(s) - {"0", "1"}:
-            raise ValueError(f"truth table string must be {1 << n} characters of 0/1")
+        if len(s) != 1 << n:
+            raise ValueError(f"truth table string must be {1 << n} characters of 0/1 for n={n}, got {len(s)}")
+        if set(s) - {"0", "1"}:
+            raise ValueError(f"truth table string must hold only 0/1, got {sorted(set(s) - {'0', '1'})}")
         return cls(n, int(s[::-1], 2))
 
     @classmethod

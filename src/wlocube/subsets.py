@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cube import MAX_DIM, check_serial
+from .wlo import layer_serials
 
 SET_OPS = ("union", "intersection", "complement_of_a", "symmetric_difference")
 
@@ -79,30 +80,9 @@ def set_op(a: SubsetHandle, b: SubsetHandle, op: str) -> SubsetHandle:
     return SubsetHandle(a.universe, serial)
 
 
-def _next_same_weight(v: int) -> int:
-    # Gosper's hack: next larger integer with the same popcount.
-    c = v & -v
-    r = v + c
-    return (((r ^ v) >> 2) // c) | r
-
-
-def _layer_serials(n: int, k: int) -> Iterator[int]:
-    if k == 0:
-        yield 0
-        return
-    v = (1 << k) - 1
-    top = 1 << n
-    while v < top:
-        yield v
-        v = _next_same_weight(v)
-
-
 def k_subsets(universe: SubsetUniverse, k: int) -> Iterator[SubsetHandle]:
     """All C(n,k) size-k subsets, serial-ascending (reverse lexicographic)."""
-    n = universe.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    for serial in _layer_serials(n, k):
+    for serial in layer_serials(universe.n, k):
         yield SubsetHandle(universe, serial)
 
 

@@ -3,7 +3,8 @@
 The WLO sequence lists the serials 0..2^n-1 sorted first by Hamming weight
 and then by serial value.  Two independent generators are provided: a
 bucket pass driven by the weight table, and a Pascal-triangle-shaped
-recursion that builds row n from row n-1.
+recursion that builds row n from row n-1.  layer_serials streams one
+layer at a time without building either.
 
 Inside layer k the sequence ascends, which is the colex order of the
 k-subsets of the coordinates; the WLO scan in search.py relies on this to
@@ -13,17 +14,9 @@ find its hit with one AND per layer and to count its probes by rank.
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
+from typing import Iterator
 
 from .cube import cached_weight_table, check_dim
-
-
-@dataclass(frozen=True)
-class PascalTables:
-    """Binomial coefficients and per-row layer start offsets, rows 0..n."""
-
-    n: int
-    binom: tuple[tuple[int, ...], ...]
-    subseq_begin: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -38,18 +31,6 @@ class WloSequence:
     n: int
     order: list[int]
     layer_offsets: list[int]
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-
-def build_pascal_tables(n: int) -> PascalTables:
-    """Triangular binomial table and its rowwise prefix sums."""
-    check_dim(n)
-    binom = tuple(tuple(comb(r, c) for c in range(r + 1)) for r in range(n + 1))
-    begins = tuple(tuple(accumulate(row[:-1], initial=0)) for row in binom)
-    return PascalTables(n, binom, begins)
 
 
 def _layer_offsets(n: int) -> list[int]:
@@ -79,32 +60,38 @@ def wlo_bucket(n: int) -> WloSequence:
 def wlo_recursive(n: int) -> WloSequence:
     """Recursive generator: row r built from row r-1.
 
-    Layer k of row r is the layer-k slice of row r-1 followed by the
-    layer-(k-1) slice with 2^(r-1) added to every element; the boundary
-    layers are [0] and [2^r-1].  Two ping-pong buffers of size 2^n replace
-    the naive n-row square array.
+    Layer k of row r is layer k of row r-1 followed by layer k-1 of row
+    r-1 with 2^(r-1) added to every element (prefixing a vector with 1):
+    the doubling of masks_recursive, on serial lists.
     """
     check_dim(n)
-    pt = build_pascal_tables(n)
-    cur = [0, 1]
+    layers = [[0], [1]]
     for r in range(2, n + 1):
         m = 1 << (r - 1)
-        prev_len = pt.binom[r - 1]
-        prev_beg = pt.subseq_begin[r - 1]
-        nxt = [0] * (1 << r)
-        pos = 1
-        for c in range(1, r + 1):
-            if c <= r - 1:
-                beg = prev_beg[c]
-                for j in range(prev_len[c]):
-                    nxt[pos] = cur[beg + j]
-                    pos += 1
-            beg = prev_beg[c - 1]
-            for j in range(prev_len[c - 1]):
-                nxt[pos] = cur[beg + j] + m
-                pos += 1
-        cur = nxt
-    return WloSequence(n, cur, _layer_offsets(n))
+        layers = [low + [s | m for s in high] for low, high in zip(layers + [[]], [[]] + layers)]
+    order = [s for layer in layers for s in layer]
+    return WloSequence(n, order, list(accumulate(map(len, layers), initial=0)))
+
+
+def layer_serials(n: int, k: int) -> Iterator[int]:
+    """The C(n,k) weight-k serials in ascending order: layer k of l_n.
+
+    Each serial is the next larger integer of the same weight (Gosper's
+    hack, HAKMEM 175), so no 2^n structure is built.
+    """
+    check_dim(n)
+    if not isinstance(k, int) or not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range for n={n}: must be in [0, {n}]")
+    if k == 0:
+        yield 0
+        return
+    v = (1 << k) - 1
+    top = 1 << n
+    while v < top:
+        yield v
+        c = v & -v
+        r = v + c
+        v = (((r ^ v) >> 2) // c) | r
 
 
 def layer_slice(seq: WloSequence, k: int) -> list[int]:

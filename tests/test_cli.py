@@ -1,4 +1,7 @@
+import os
+import resource
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,11 +9,11 @@ import pytest
 
 from wlocube import TruthTable, wlo_bucket, wlo_search_max
 from wlocube import bench as bench_mod
-from wlocube import cli as cli_mod
 from wlocube import wlo as wlo_mod
 from wlocube.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -53,14 +56,34 @@ def test_search_builds_no_wlo_sequence(capsys, monkeypatch):
         raise AssertionError("search built the WLO sequence")
 
     monkeypatch.setattr(wlo_mod, "wlo_bucket", no_sequence)
-    monkeypatch.setattr(cli_mod, "wlo_bucket", no_sequence)
     code, out, _ = run(capsys, "search", "--n", "4", "--tt", bits)
     assert code == 0 and out.strip() == "12 2"
     code, out, _ = run(capsys, "search", "--n", "4", "--tt", bits, "--min")
     assert code == 0 and out.strip() == "0 0"
+    # wlo streams the sequence layer by layer
+    code, out, _ = run(capsys, "wlo", "--n", "4")
+    assert code == 0 and out.strip() == "0 1 2 4 8 3 5 6 9 10 12 7 11 13 14 15"
+    code, out, _ = run(capsys, "wlo", "--n", "4", "--layer", "2")
+    assert code == 0 and out.strip() == "3 5 6 9 10 12"
     # seq is only checked for its dimension, so the answer is the same without it
     tt = TruthTable.from_bitstring(4, bits)
     assert wlo_search_max(tt) == wlo_search_max(tt, wlo_bucket(4))
+
+
+def test_wlo_layer_streams_at_n30():
+    # layer 1 of l_30 is 30 serials; the whole sequence would need tens of
+    # GiB, so the child runs under an address-space limit and fails fast
+    # if it is built
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wlocube", "wlo", "--n", "30", "--layer", "1"],
+        env=env, capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == " ".join(str(1 << i) for i in range(30)) + "\n"
 
 
 def test_search_from_raw_file(capsys, tmp_path):
@@ -240,11 +263,25 @@ def test_fixtures_detects_corruption(capsys, tmp_path):
     assert f"A001142: FAIL at index {idx}" in out
 
 
-def test_domain_error_exit_code(capsys):
+def test_domain_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "wlo", "--n", "0")
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "search", "--n", "4", "--tt", "0101")
     assert code == 1
+    # one error line that names the option and what it accepts, before any output
+    missing = str(tmp_path / "missing.bin")
+    target = tmp_path / "l.txt"
+    for argv, needles in (
+        (("wlo", "--n", "4", "--layer", "5", "--out", str(target)), ("--layer", "[0, 4]")),
+        (("wlo", "--n", "4", "--layer", "-1"), ("--layer", "[0, 4]")),
+        (("subsets", "--universe", "a,b,c", "--k", "5"), ("k=5", "[0, 3]")),
+        (("search", "--n", "10", "--tt", missing), ("--tt", "no such file", "1024", f"got {len(missing)}")),
+        (("degree", "--n", "10", "--anf", missing), ("--anf", "no such file", "1024", f"got {len(missing)}")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error:") and all(s in err for s in needles), err
+    assert not target.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -17,7 +17,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wlocube import SearchHit, SearchStats, TruthTable, wlo_bucket, wlo_search_max, wlo_search_min
+from wlocube import (
+    SearchHit,
+    SearchStats,
+    TruthTable,
+    exhaustive_max,
+    masks_recursive,
+    wlo_bucket,
+    wlo_search_max,
+    wlo_search_min,
+)
+from wlocube.cube import cached_weight_table
 
 # wlo_bucket rebuilds the sequence on every call
 wlo = lru_cache(maxsize=None)(wlo_bucket)
@@ -102,31 +112,42 @@ def test_scanned_sequence_copies():
 
 
 def test_threads_sharing_a_fresh_sequence():
-    # every thread's scans grow the same runs; a scan must still test every
-    # layer in order, whichever thread built it
-    n = 12
+    # the searches share only the per-n caches of masks_recursive and
+    # cached_weight_table; threads that race the first calls at a fresh n
+    # must each get the literal scan's answer, whichever thread filled them
     rng = random.Random(5)
-    tables = [TruthTable(n, 1 << rng.randrange(1 << n)) for _ in range(64)]
+    cases = {}
+    for n in (6, 9, 12):
+        seq = wlo(n)
+        tables = [TruthTable(n, 1 << rng.randrange(1 << n)) for _ in range(8)]
+        tables += [TruthTable(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n)) for _ in range(4)]
+        cases[n] = [
+            (tt, literal_scan(tt.bits, seq.order[::-1])[0], literal_scan(tt.bits, seq.order)[0]) for tt in tables
+        ]
     wrong = []
 
-    def work(seq, seed):
-        for tt in random.Random(seed).sample(tables, 16):
-            s = tt.bits.bit_length() - 1
-            for search in (wlo_search_max, wlo_search_min):
-                if search(tt, seq) != SearchHit(s, s.bit_count()):
-                    wrong.append((search.__name__, s))
+    def work(n, seed):
+        for tt, top, bottom in random.Random(seed).sample(cases[n], len(cases[n])):
+            try:
+                got = (wlo_search_max(tt), wlo_search_min(tt), exhaustive_max(tt))
+            except Exception as exc:  # a thread's exception would otherwise pass unseen
+                got = exc
+            if got != (top, bottom, top):
+                wrong.append((n, tt.bits, got))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for trial in range(10):
-            seq = wlo_bucket(n)
-            threads = [threading.Thread(target=work, args=(seq, 4 * trial + i)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(30)
-            assert not any(t.is_alive() for t in threads)
+        for trial in range(5):
+            for n in cases:
+                masks_recursive.cache_clear()
+                cached_weight_table.cache_clear()
+                threads = [threading.Thread(target=work, args=(n, 4 * trial + i)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+                assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from wlocube import build_pascal_tables, layer_slice, wlo_bucket, wlo_recursive
+from wlocube import layer_serials, layer_slice, wlo_bucket, wlo_recursive
 
 TABLE_ROWS = {
     1: [0, 1],
@@ -14,16 +14,6 @@ TABLE_ROWS = {
 
 def sort_oracle(n):
     return sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
-
-
-def test_pascal_tables():
-    pt = build_pascal_tables(4)
-    assert pt.binom[4] == (1, 4, 6, 4, 1)
-    assert pt.subseq_begin[4] == (0, 1, 5, 11, 15)
-    assert pt.binom[1] == (1, 1)
-    assert pt.subseq_begin[1] == (0, 1)
-    for r in range(5):
-        assert sum(pt.binom[r]) == 1 << r
 
 
 def test_bucket_known_rows():
@@ -43,6 +33,7 @@ def test_generators_agree_and_match_oracle():
         b = wlo_recursive(n)
         assert a.order == b.order == sort_oracle(n)
         assert a.layer_offsets == b.layer_offsets
+        assert [s for k in range(n + 1) for s in layer_serials(n, k)] == a.order
 
 
 def test_layer_slices():
