@@ -3,10 +3,11 @@
 Vectors are handled exclusively through their serial numbers: the integer
 whose n-digit binary expansion (most significant digit first) gives the
 coordinates.  On top of that vocabulary the package provides the
-weight-lexicographic order (WLO) sequence, packed layer masks, fast
-max/min-weight support search over truth tables, algebraic degree from ANF
-coefficient vectors, exact enumeration of weight-order combinatorics, a
-subset ranking/unranking layer, and a micro-benchmark harness.
+weight-lexicographic order (WLO) sequence, truth tables and the layer
+masks (the truth tables of the layers), fast max/min-weight support
+search over truth tables, algebraic degree from ANF coefficient vectors,
+exact enumeration of weight-order combinatorics, a subset
+ranking/unranking layer, and a micro-benchmark harness.
 """
 
 from .cube import (
@@ -18,11 +19,10 @@ from .cube import (
     weight_of,
 )
 from .wlo import WloSequence, layer_serials, layer_slice, wlo_bucket, wlo_recursive
-from .masks import LayerMask, MaskSet, mask_paper_serial, mask_test, masks_from_wlo, masks_recursive
+from .masks import MaskSet, TruthTable, mask_paper_serial, mask_test, masks_from_wlo, masks_recursive
 from .search import (
     SearchHit,
     SearchStats,
-    TruthTable,
     algebraic_degree,
     bitwise_search_max,
     exhaustive_max,
@@ -53,7 +53,6 @@ __all__ = [
     "wlo_recursive",
     "layer_serials",
     "layer_slice",
-    "LayerMask",
     "MaskSet",
     "masks_from_wlo",
     "masks_recursive",

@@ -13,16 +13,15 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import fixtures as fixtures_mod
 from .counts import SEQUENCES
-from .cube import check_dim
-from .masks import mask_bit_rows, mask_paper_serial, masks_recursive, word_count
-from .search import TruthTable, algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
+from .cube import MAX_DIM
+from .masks import TruthTable, mask_bit_rows, mask_paper_serial, masks_recursive, word_count
+from .search import algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
 from .subsets import SubsetHandle, SubsetUniverse, k_subsets, members_in_order, rank, subsets_in_cardinality_order
 from .wlo import layer_serials
 
 def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
     """Interpret --tt/--anf: an existing file of raw little-endian words,
     otherwise a string of 2^n '0'/'1' characters, coordinate 0 first."""
-    check_dim(n)
     path = Path(spec)
     if path.exists():
         return TruthTable.from_raw(n, path.read_bytes())
@@ -34,7 +33,6 @@ def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
 
 def _cmd_wlo(args) -> int:
     n = args.n
-    check_dim(n)
     if args.layer is None:
         layers = range(n + 1)
     elif 0 <= args.layer <= n:
@@ -110,7 +108,6 @@ def _cmd_subsets(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    check_dim(args.n)
     if args.gen:
         wpf = word_count(args.n)
         max_count = bench_mod.MAX_CORPUS_BYTES // (8 * wpf)
@@ -218,9 +215,16 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        # every command that takes --n checks it here, before it writes anything
+        if hasattr(args, "n") and not 1 <= args.n <= MAX_DIM:
+            raise ValueError(f"--n must be in [1, {MAX_DIM}], got {args.n}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        at = f" at --n {args.n}" if hasattr(args, "n") else ""
+        print(f"error: ran out of memory{at}", file=sys.stderr)
         return 1
     finally:
         if digit_limit is not None:

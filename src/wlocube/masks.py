@@ -1,14 +1,17 @@
-"""Characteristic vectors (masks) of the weight layers.
+"""Truth tables, and the layer masks as the truth tables of the layers.
 
-A mask is one non-negative int of 2^n bits in which bit i is cube
-coordinate i, the layout of truth tables, so a layer test is a single
-`&`.  The MSB-first "serial number of a mask" convention (coordinate 0
+A truth table is one non-negative int of 2^n bits in which bit i is the
+function's value at the vector with serial i.  The mask of layer k is the
+characteristic vector of that layer, that is the truth table of the
+indicator of wt(alpha) == k, so a layer test is a single `&` of two
+tables.  The MSB-first "serial number of a mask" convention (coordinate 0
 as the most significant of the 2^n bits) is honored only when rendering
 with mask_paper_serial.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .cube import check_dim, check_serial
 from .wlo import WloSequence, layer_slice
@@ -20,35 +23,71 @@ def word_count(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class LayerMask:
-    """Indicator of layer k: bit i set iff wt(i) == k."""
+class TruthTable:
+    """A Boolean function of n variables as one int of 2^n bits.
+
+    Bit i is f(alpha) for the vector with serial i.  The same layout
+    stores ANF coefficient vectors and the layer masks.
+    """
 
     n: int
-    k: int
     bits: int
+
+    def __post_init__(self):
+        check_dim(self.n)
+        if not isinstance(self.bits, int) or self.bits < 0 or self.bits >> (1 << self.n):
+            raise ValueError(f"truth table bits must be an int in [0, 2^{1 << self.n}) for n={self.n}")
+
+    @classmethod
+    def from_bits(cls, n: int, ones: Iterable[int]) -> "TruthTable":
+        """The table whose set bits are the given serials, each in [0, 2^n)."""
+        check_dim(n)
+        size = 1 << n
+        buf = bytearray((size + 7) >> 3)
+        for i in ones:
+            # a bytearray would wrap a negative index onto the top byte
+            if not 0 <= i < size:
+                raise ValueError(f"serial must be in [0, {size}) for n={n}, got {i}")
+            buf[i >> 3] |= 1 << (i & 7)
+        return cls(n, int.from_bytes(buf, "little"))
+
+    @classmethod
+    def from_bitstring(cls, n: int, s: str) -> "TruthTable":
+        """Parse a string of 2^n '0'/'1' characters, coordinate 0 first."""
+        check_dim(n)
+        if len(s) != 1 << n:
+            raise ValueError(f"truth table string must be {1 << n} characters of 0/1 for n={n}, got {len(s)}")
+        if set(s) - {"0", "1"}:
+            raise ValueError(f"truth table string must hold only 0/1, got {sorted(set(s) - {'0', '1'})}")
+        return cls(n, int(s[::-1], 2))
+
+    @classmethod
+    def from_raw(cls, n: int, data: bytes) -> "TruthTable":
+        """Parse raw little-endian 64-bit words (the corpus file format)."""
+        check_dim(n)
+        w = word_count(n)
+        if len(data) != 8 * w:
+            raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
+        return cls(n, int.from_bytes(data, "little"))
+
+    def to_bitstring(self) -> str:
+        return format(self.bits, f"0{1 << self.n}b")[::-1]
 
 
 @dataclass(frozen=True)
 class MaskSet:
-    """All n+1 layer masks; pairwise disjoint, union all-ones."""
+    """All n+1 layer masks, masks[k] for layer k; pairwise disjoint, union all-ones."""
 
     n: int
-    masks: tuple[LayerMask, ...]
+    masks: tuple[TruthTable, ...]
 
-    def __getitem__(self, k: int) -> LayerMask:
+    def __getitem__(self, k: int) -> TruthTable:
         return self.masks[k]
 
 
 def masks_from_wlo(seq: WloSequence) -> MaskSet:
-    """Build the masks by setting one bit per entry of each layer slice."""
-    n = seq.n
-    masks = []
-    for k in range(n + 1):
-        buf = bytearray(((1 << n) + 7) >> 3)
-        for serial in layer_slice(seq, k):
-            buf[serial >> 3] |= 1 << (serial & 7)
-        masks.append(LayerMask(n, k, int.from_bytes(buf, "little")))
-    return MaskSet(n, tuple(masks))
+    """Build the masks from the layer slices of a WLO sequence."""
+    return MaskSet(seq.n, tuple(TruthTable.from_bits(seq.n, layer_slice(seq, k)) for k in range(seq.n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -65,26 +104,21 @@ def masks_recursive(n: int) -> MaskSet:
     for r in range(2, n + 1):
         half = 1 << (r - 1)
         rows = [low | (high << half) for low, high in zip(rows + [0], [0] + rows)]
-    return MaskSet(n, tuple(LayerMask(n, k, bits) for k, bits in enumerate(rows)))
+    return MaskSet(n, tuple(TruthTable(n, bits) for bits in rows))
 
 
-def mask_test(mask: LayerMask, serial: int) -> bool:
+def mask_test(mask: TruthTable, serial: int) -> bool:
     """Whether bit `serial` is set in the mask."""
     check_serial(serial, mask.n)
     return bool((mask.bits >> serial) & 1)
 
 
-def mask_paper_serial(mask: LayerMask) -> int:
-    """The mask as one big integer, coordinate 0 most significant.
-
-    This bit order is the reverse of the storage layout, so the result is
-    the 2^n-bit reversal of `mask.bits`.
-    """
-    return int(format(mask.bits, f"0{1 << mask.n}b")[::-1], 2)
+def mask_paper_serial(mask: TruthTable) -> int:
+    """The mask as one big integer, coordinate 0 most significant."""
+    return int(mask.to_bitstring(), 2)
 
 
-def mask_bit_rows(mask: LayerMask) -> str:
+def mask_bit_rows(mask: TruthTable) -> str:
     """Render as a 0/1 string, coordinate 0 first, grouped in 8-bit blocks."""
-    size = 1 << mask.n
-    bits = format(mask.bits, f"0{size}b")[::-1]
-    return " ".join(bits[i : i + 8] for i in range(0, size, 8))
+    bits = mask.to_bitstring()
+    return " ".join(bits[i : i + 8] for i in range(0, len(bits), 8))

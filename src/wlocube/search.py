@@ -1,20 +1,23 @@
 """Max/min-weight support search over truth tables.
 
-A truth table is one non-negative int of 2^n bits, bit i being f at the
-vector with serial i.  Three routes reach the same answer: a full linear
-scan, a scan along the WLO sequence that stops at the first hit, and a
-layer scan that ANDs the table against one layer mask at a time.  The
-module also computes the algebraic degree of a function from its ANF
-coefficient vector, which shares the truth-table layout.
+A truth table (masks.TruthTable, re-exported here) is one non-negative
+int of 2^n bits, bit i being f at the vector with serial i, and each
+layer mask is the truth table of one layer.  Three routes reach the same
+answer: a full linear scan, a scan along the WLO sequence that stops at
+the first hit, and a layer scan that ANDs the table against one layer
+mask at a time.  The module also computes the algebraic degree of a
+function from its ANF coefficient vector, which shares the truth-table
+layout.
 
 Every search is one loop over the layer masks (_first_layer): AND the
-table against layer k, for k from n down (heavy end) or from 0 up (light
-end), and stop at the first nonzero AND.  The paper's WLO scan stops at
-the first support vector along l_n; inside a layer l_n ascends, so that
-vector is the highest set bit of the AND from the heavy end and the
-lowest from the light end.  SearchStats.probes is still the number of
-serials the paper's scan probes: the hit's position in l_n, which is the
-layers below it plus its colex rank inside its layer, or 2^n on a miss.
+table against the mask of layer k, for k from n down (heavy end) or from
+0 up (light end), and stop at the first nonzero AND.  The paper's WLO
+scan stops at the first support vector along l_n; inside a layer l_n
+ascends, so that vector is the highest set bit of the AND from the heavy
+end and the lowest from the light end.  SearchStats.probes is still the
+number of serials the paper's scan probes: the hit's position in l_n,
+which is the layers below it plus its colex rank inside its layer, or
+2^n on a miss.
 """
 
 from dataclasses import dataclass
@@ -22,55 +25,9 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional
 
-from .cube import cached_weight_table, check_dim
-from .masks import LayerMask, MaskSet, masks_recursive, word_count
+from .cube import cached_weight_table
+from .masks import MaskSet, TruthTable, masks_recursive, word_count
 from .wlo import WloSequence
-
-
-@dataclass(frozen=True)
-class TruthTable:
-    """A Boolean function of n variables as one int of 2^n bits.
-
-    Bit i is f(alpha) for the vector with serial i.  The same layout
-    stores ANF coefficient vectors.
-    """
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        check_dim(self.n)
-        if not isinstance(self.bits, int) or self.bits < 0 or self.bits >> (1 << self.n):
-            raise ValueError(f"truth table bits must be an int in [0, 2^{1 << self.n}) for n={self.n}")
-
-    @classmethod
-    def from_bits(cls, n: int, ones: "set[int] | list[int]") -> "TruthTable":
-        value = 0
-        for i in ones:
-            value |= 1 << i
-        return cls(n, value)
-
-    @classmethod
-    def from_bitstring(cls, n: int, s: str) -> "TruthTable":
-        """Parse a string of 2^n '0'/'1' characters, coordinate 0 first."""
-        check_dim(n)
-        if len(s) != 1 << n:
-            raise ValueError(f"truth table string must be {1 << n} characters of 0/1 for n={n}, got {len(s)}")
-        if set(s) - {"0", "1"}:
-            raise ValueError(f"truth table string must hold only 0/1, got {sorted(set(s) - {'0', '1'})}")
-        return cls(n, int(s[::-1], 2))
-
-    @classmethod
-    def from_raw(cls, n: int, data: bytes) -> "TruthTable":
-        """Parse raw little-endian 64-bit words (the corpus file format)."""
-        check_dim(n)
-        w = word_count(n)
-        if len(data) != 8 * w:
-            raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
-        return cls(n, int.from_bytes(data, "little"))
-
-    def to_bitstring(self) -> str:
-        return format(self.bits, f"0{1 << self.n}b")[::-1]
 
 
 class SearchHit(NamedTuple):
@@ -121,17 +78,17 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
     return SearchHit(best, best_w)
 
 
-def _first_layer(bits: int, ms: MaskSet, heavy: bool) -> tuple[Optional[int], int]:
-    """(k, bits & mask k) for the first layer k in scan order whose AND is nonzero.
+def _first_layer(bits: int, ms: MaskSet, heavy: bool) -> int:
+    """bits & mask k for the first layer k in scan order whose AND is nonzero.
 
-    The heavy end tests layers n down to 0, the light end 0 up to n.
-    (None, 0) when every AND is zero.
+    The heavy end tests layers n down to 0, the light end 0 up to n.  0
+    when every AND is zero.  Every set bit of the result has weight k.
     """
     for mask in reversed(ms.masks) if heavy else ms.masks:
         x = bits & mask.bits
         if x:
-            return mask.k, x
-    return None, 0
+            return x
+    return 0
 
 
 def _wlo_position(n: int, s: int) -> int:
@@ -159,8 +116,8 @@ def _wlo_scan(tt: TruthTable, seq: Optional[WloSequence], heavy: bool, stats: Op
     n = tt.n
     if seq is not None and seq.n != n:
         _check_same_dim(n, seq.n, "sequence")
-    k, x = _first_layer(tt.bits, masks_recursive(n), heavy)
-    if k is None:
+    x = _first_layer(tt.bits, masks_recursive(n), heavy)
+    if not x:
         if stats is not None:
             stats.probes += 1 << n
         return None
@@ -169,7 +126,7 @@ def _wlo_scan(tt: TruthTable, seq: Optional[WloSequence], heavy: bool, stats: Op
         # complementing maps l_n read from its heavy end onto l_n, so the
         # heavy end's 2^n - pos(s) is pos(~s) + 1, a rank over few bits
         stats.probes += _wlo_position(n, s ^ ((1 << n) - 1) if heavy else s) + 1
-    return SearchHit(s, k)
+    return SearchHit(s, s.bit_count())
 
 
 def wlo_search_max(tt: TruthTable, seq: Optional[WloSequence] = None, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
@@ -193,7 +150,8 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
     via layer_support.
     """
     _check_same_dim(tt.n, ms.n, "mask set")
-    hit, _ = _first_layer(tt.bits, ms, True)
+    x = _first_layer(tt.bits, ms, True)
+    hit = (x.bit_length() - 1).bit_count() if x else None
     if stats is not None:
         # a miss tests every row, as a hit on row 0 does
         tested = tt.n + 1 - (hit or 0)
@@ -202,7 +160,7 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
     return hit
 
 
-def layer_support(tt: TruthTable, mask: LayerMask) -> list[int]:
+def layer_support(tt: TruthTable, mask: TruthTable) -> list[int]:
     """Ascending serials of set bits of (tt AND mask)."""
     _check_same_dim(tt.n, mask.n, "mask")
     x = tt.bits & mask.bits

@@ -57,9 +57,7 @@ def rank(universe: SubsetUniverse, members) -> SubsetHandle:
 
 def unrank(universe: SubsetUniverse, serial: int) -> set[str]:
     """Inverse of rank: the member set of a characteristic-vector serial."""
-    n = universe.n
-    check_serial(serial, n)
-    return {universe.elements[i] for i in range(n) if (serial >> (n - 1 - i)) & 1}
+    return set(members_in_order(SubsetHandle(universe, serial)))
 
 
 def set_op(a: SubsetHandle, b: SubsetHandle, op: str) -> SubsetHandle:

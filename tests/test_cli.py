@@ -70,20 +70,33 @@ def test_search_builds_no_wlo_sequence(capsys, monkeypatch):
     assert wlo_search_max(tt) == wlo_search_max(tt, wlo_bucket(4))
 
 
-def test_wlo_layer_streams_at_n30():
-    # layer 1 of l_30 is 30 serials; the whole sequence would need tens of
-    # GiB, so the child runs under an address-space limit and fails fast
-    # if it is built
+def run_limited(*argv):
+    """Run the CLI in a child limited to 1.5 GiB of address space, so that
+    an allocation of 2^30-bit structures fails fast in the child only."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "wlocube", "wlo", "--n", "30", "--layer", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "wlocube", *argv],
         env=env, capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
     )
+
+
+def test_wlo_layer_streams_at_n30():
+    # layer 1 of l_30 is 30 serials; the whole sequence would need tens of
+    # GiB, so it must not be built
+    proc = run_limited("wlo", "--n", "30", "--layer", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == " ".join(str(1 << i) for i in range(30)) + "\n"
+
+
+def test_out_of_memory_is_one_error_line():
+    # the n=30 masks would hold 31 x 128 MiB
+    proc = run_limited("masks", "--n", "30", "--paper-serials")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "--n 30" in proc.stderr
 
 
 def test_search_from_raw_file(capsys, tmp_path):
@@ -151,6 +164,10 @@ def test_degree(capsys):
     assert code == 0 and out.strip() == "2"
     code, out, _ = run(capsys, "degree", "--n", "4", "--anf", "0" * 16)
     assert code == 0 and out.strip() == "none"
+    # --from-tt, coordinate 0 first: serials 8..15 are x1, serials 12..15 are x1 x2
+    for tt, want in (("0000000011111111", "1"), ("0000000000001111", "2"), ("1" * 16, "0"), ("0" * 16, "none")):
+        code, out, _ = run(capsys, "degree", "--n", "4", "--anf", tt, "--from-tt")
+        assert code == 0 and out.strip() == want, tt
 
 
 def test_subsets_commands(capsys):
@@ -175,6 +192,12 @@ def test_bench_gen_and_run(capsys, tmp_path):
     assert code == 0
     assert report.read_text().splitlines()[0] == "n,functions,algorithm,seconds,ops"
     assert "exhaustive:" in out and "wlo:" in out and "bitwise:" in out
+    code, out, _ = run(capsys, "bench", "--run", "--n", "6", "--corpus", str(corpus), "--algorithms", "bitwise,wlo")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == ["wlo", "bitwise"]
+    code, out, err = run(capsys, "bench", "--run", "--n", "6", "--corpus", str(corpus), "--algorithms", "nope")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_bench_gen_rejects_bad_dimension(capsys, tmp_path):
@@ -282,6 +305,19 @@ def test_domain_error_exit_code(capsys, tmp_path):
         assert code == 1 and out == "" and len(err.splitlines()) == 1
         assert err.startswith("error:") and all(s in err for s in needles), err
     assert not target.exists()
+    # --n is checked once, before any command runs
+    for n in ("0", "31"):
+        for argv in (
+            ("wlo", "--n", n, "--out", str(target)),
+            ("masks", "--n", n),
+            ("search", "--n", n, "--tt", "01"),
+            ("degree", "--n", n, "--anf", "01"),
+            ("bench", "--gen", "--n", n, "--count", "1", "--corpus", str(tmp_path / "c.bin")),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and len(err.splitlines()) == 1, argv
+            assert err.startswith("error:") and "--n" in err and "[1, 30]" in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_exit_code(capsys):

@@ -38,6 +38,11 @@ def test_truth_table_construction():
         TruthTable.from_bitstring(4, "10")
     with pytest.raises(ValueError):
         TruthTable(4, (0, 0))
+    # a bytearray fill would wrap -1 onto the top bit, and 2^n past the end
+    for n in (1, 3, 10):
+        for ones in ([-1], [1 << n]):
+            with pytest.raises(ValueError):
+                TruthTable.from_bits(n, ones)
 
 
 def test_exhaustive_examples():
