@@ -8,6 +8,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
+from math import comb
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -18,6 +19,11 @@ from .masks import TruthTable, mask_bit_rows, mask_paper_serial, masks_recursive
 from .search import algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
 from .subsets import SubsetHandle, SubsetUniverse, k_subsets, members_in_order, rank, subsets_in_cardinality_order
 from .wlo import layer_serials
+
+# wlo refuses a request for more serials: 2^24 are 140 MB of text and
+# several seconds, 2^30 would be 10 GB and minutes
+MAX_WLO_SERIALS = 1 << 24
+
 
 def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
     """Interpret --tt/--anf: an existing file of raw little-endian words,
@@ -34,11 +40,13 @@ def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
 def _cmd_wlo(args) -> int:
     n = args.n
     if args.layer is None:
-        layers = range(n + 1)
+        layers, count, asked = range(n + 1), 1 << n, f"--n {n}"
     elif 0 <= args.layer <= n:
-        layers = (args.layer,)
+        layers, count, asked = (args.layer,), comb(n, args.layer), f"--n {n} --layer {args.layer}"
     else:
         raise ValueError(f"--layer must be in [0, {n}] at --n {n}, got {args.layer}")
+    if count > MAX_WLO_SERIALS:
+        raise ValueError(f"{asked} asks for {count} serials; wlo prints at most {MAX_WLO_SERIALS}")
     # streamed a chunk of serials at a time, so memory stays flat at any n
     serials = chain.from_iterable(layer_serials(n, k) for k in layers)
     sep = "\n" if args.out else " "

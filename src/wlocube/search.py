@@ -18,6 +18,10 @@ end and the lowest from the light end.  SearchStats.probes is still the
 number of serials the paper's scan probes: the hit's position in l_n,
 which is the layers below it plus its colex rank inside its layer, or
 2^n on a miss.
+
+The bitwise route returns only the weight; layer_support then reads the
+witnesses out of that layer's AND.  It costs at most 16 passes over the
+AND for up to 16 witnesses, plus one byte scan beyond that.
 """
 
 from dataclasses import dataclass
@@ -51,6 +55,10 @@ class SearchStats:
 # per byte value: the positions of its set bits, and a 0/1 nonzero flag
 _BYTE_ONES = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
 _NONZERO_BYTE = bytes([0] + [1] * 255)
+# layer_support's peel: unbounded, it is quadratic in a dense support, and
+# without the window test a crowded top costs up to 1.6x the byte scan
+_PEEL_BUDGET = 16
+_PEEL_WINDOW = 1 << 12
 
 
 def _check_same_dim(n: int, other: int, what: str) -> None:
@@ -161,9 +169,25 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
 
 
 def layer_support(tt: TruthTable, mask: TruthTable) -> list[int]:
-    """Ascending serials of set bits of (tt AND mask)."""
+    """Ascending serials of set bits of (tt AND mask).
+
+    It costs at most 16 (_PEEL_BUDGET) passes over the AND for up to 16
+    witnesses, plus one byte scan beyond that: the highest set bits are
+    peeled one pass each, and only what the budget leaves is scanned.  When
+    the top _PEEL_WINDOW bits of the AND alone hold more set bits than the
+    budget, the peel is skipped and the byte scan reads the whole AND.
+    """
     _check_same_dim(tt.n, mask.n, "mask")
     x = tt.bits & mask.bits
+    peeled = []
+    low = x.bit_length() - _PEEL_WINDOW
+    if low <= 0 or (x >> low).bit_count() <= _PEEL_BUDGET:
+        while x and len(peeled) < _PEEL_BUDGET:
+            b = x.bit_length() - 1
+            peeled.append(b)
+            x ^= 1 << b
+        if not x:
+            return peeled[::-1]
     view = x.to_bytes((x.bit_length() + 7) >> 3, "little")
     flags = view.translate(_NONZERO_BYTE)
     out = []
@@ -171,6 +195,7 @@ def layer_support(tt: TruthTable, mask: TruthTable) -> list[int]:
     while j >= 0:
         out.extend((j << 3) + b for b in _BYTE_ONES[view[j]])
         j = flags.find(1, j + 1)
+    out.extend(reversed(peeled))
     return out
 
 

@@ -297,6 +297,9 @@ def test_domain_error_exit_code(capsys, tmp_path):
     for argv, needles in (
         (("wlo", "--n", "4", "--layer", "5", "--out", str(target)), ("--layer", "[0, 4]")),
         (("wlo", "--n", "4", "--layer", "-1"), ("--layer", "[0, 4]")),
+        # more than 2^24 serials: the whole of l_25, or C(30, 15) of layer 15
+        (("wlo", "--n", "25"), ("--n 25", "33554432", "16777216")),
+        (("wlo", "--n", "30", "--layer", "15", "--out", str(target)), ("--layer 15", "155117520", "16777216")),
         (("subsets", "--universe", "a,b,c", "--k", "5"), ("k=5", "[0, 3]")),
         (("search", "--n", "10", "--tt", missing), ("--tt", "no such file", "1024", f"got {len(missing)}")),
         (("degree", "--n", "10", "--anf", missing), ("--anf", "no such file", "1024", f"got {len(missing)}")),

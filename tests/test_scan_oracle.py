@@ -1,9 +1,10 @@
-"""The WLO scans against a literal walk over seq.order.
+"""The WLO scans and layer_support against literal walks over serials.
 
 wlo_search_max/_min AND the table against one layer mask at a time and
 derive the probe count from the hit's colex rank; the oracle here probes
 one serial of seq.order at a time and counts every probe, as the paper's
-scan does.
+scan does.  layer_support peels up to a budget of set bits and byte-scans
+the rest; its oracle tests every serial of the layer.
 """
 
 import copy
@@ -12,6 +13,7 @@ import random
 import sys
 import threading
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -22,12 +24,15 @@ from wlocube import (
     SearchStats,
     TruthTable,
     exhaustive_max,
+    layer_serials,
+    layer_support,
     masks_recursive,
     wlo_bucket,
     wlo_search_max,
     wlo_search_min,
 )
 from wlocube.cube import cached_weight_table
+from wlocube.search import _PEEL_BUDGET, _PEEL_WINDOW
 
 # wlo_bucket rebuilds the sequence on every call
 wlo = lru_cache(maxsize=None)(wlo_bucket)
@@ -151,3 +156,58 @@ def test_threads_sharing_a_fresh_sequence():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
+
+
+def check_layer_support(tt, k):
+    expected = [s for s in layer_serials(tt.n, k) if tt.bits >> s & 1]
+    assert layer_support(tt, masks_recursive(tt.n)[k]) == expected
+    return expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_layer_support_every_function_every_layer(n):
+    for bits in range(1 << (1 << n)):
+        for k in range(n + 1):
+            check_layer_support(TruthTable(n, bits), k)
+
+
+# support sizes around the peel budget, or "full" for the whole layer
+SUPPORT_SIZES = (0, 1, _PEEL_BUDGET - 1, _PEEL_BUDGET, _PEEL_BUDGET + 1, "full")
+
+
+@st.composite
+def tables_with_one_layer_support(draw):
+    """(table, k, size): exactly `size` of layer k's serials set, any bits in other layers."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    layer = list(layer_serials(n, k))
+    size = draw(st.sampled_from([s for s in SUPPORT_SIZES if s == "full" or s <= len(layer)]))
+    chosen = layer if size == "full" else draw(st.lists(st.sampled_from(layer), min_size=size, max_size=size, unique=True))
+    noise = draw(st.integers(0, (1 << (1 << n)) - 1)) & ~masks_recursive(n)[k].bits
+    return TruthTable(n, TruthTable.from_bits(n, chosen).bits | noise), k, size
+
+
+@given(tables_with_one_layer_support())
+def test_layer_support_at_the_peel_budget(case):
+    tt, k, size = case
+    support = check_layer_support(tt, k)
+    assert len(support) == (comb(tt.n, k) if size == "full" else size)
+
+
+@pytest.mark.parametrize("size", [_PEEL_BUDGET - 1, _PEEL_BUDGET, _PEEL_BUDGET + 1])
+def test_layer_support_at_the_budget_past_the_peel_window(size):
+    # at n=16 the AND is longer than the peel window: the top serials of a
+    # layer crowd into it, a random sample spreads far below it
+    n, k = 16, 12
+    layer = list(layer_serials(n, k))
+    assert layer[-1] - layer[-size] < _PEEL_WINDOW < layer[-1] - layer[0]
+    for chosen in (layer[-size:], random.Random(size).sample(layer, size), layer[-size + 1:] + layer[:1]):
+        assert len(check_layer_support(TruthTable.from_bits(n, chosen), k)) == size
+
+
+@pytest.mark.parametrize("k", [8, 14])
+def test_layer_support_dense_tables_at_n16(k):
+    # the middle layer and layer n-2 of random tables, past any peel budget
+    rng = random.Random(k)
+    for _ in range(3):
+        check_layer_support(TruthTable(16, rng.getrandbits(1 << 16)), k)
