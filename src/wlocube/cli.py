@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 domain error (bad values, failed validation),
 """
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
@@ -20,17 +21,19 @@ from .search import algebraic_degree, mobius_transform, wlo_search_max, wlo_sear
 from .subsets import SubsetHandle, SubsetUniverse, k_subsets, members_in_order, rank, subsets_in_cardinality_order
 from .wlo import layer_serials
 
-# wlo refuses a request for more serials: 2^24 are 140 MB of text and
-# several seconds, 2^30 would be 10 GB and minutes
+# wlo refuses a request for more serials, and subsets --all/--k for more
+# subsets: 2^24 serials are 140 MB of text and several seconds, 2^30 would
+# be 10 GB and minutes
 MAX_WLO_SERIALS = 1 << 24
 
 
 def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
     """Interpret --tt/--anf: an existing file of raw little-endian words,
     otherwise a string of 2^n '0'/'1' characters, coordinate 0 first."""
-    path = Path(spec)
-    if path.exists():
-        return TruthTable.from_raw(n, path.read_bytes())
+    # os.path.exists is False where Path.exists raises before Python 3.12,
+    # for a name too long to be a file: the 0/1 string of a table at n >= 8
+    if os.path.exists(spec):
+        return TruthTable.from_raw(n, Path(spec).read_bytes())
     try:
         return TruthTable.from_bitstring(n, spec)
     except ValueError as exc:
@@ -101,11 +104,18 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_subsets(args) -> int:
     universe = SubsetUniverse(tuple(args.universe.split(",")))
-    if args.all:
-        for handle in subsets_in_cardinality_order(universe):
-            print(",".join(members_in_order(handle)))
-    elif args.k is not None:
-        for handle in k_subsets(universe, args.k):
+    size = universe.n
+    if args.all or args.k is not None:
+        if args.all:
+            handles, count, asked = subsets_in_cardinality_order(universe), 1 << size, "--all"
+        else:
+            # comb is 0 for k > size; k_subsets then names the range of --k
+            handles, count, asked = k_subsets(universe, args.k), comb(size, max(args.k, 0)), f"--k {args.k}"
+        if count > MAX_WLO_SERIALS:
+            raise ValueError(
+                f"{asked} of a --universe of {size} labels asks for {count} subsets; subsets prints at most {MAX_WLO_SERIALS}"
+            )
+        for handle in handles:
             print(",".join(members_in_order(handle)))
     elif args.rank is not None:
         members = [m for m in args.rank.split(",") if m]

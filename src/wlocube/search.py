@@ -9,15 +9,18 @@ mask at a time.  The module also computes the algebraic degree of a
 function from its ANF coefficient vector, which shares the truth-table
 layout.
 
-Every search is one loop over the layer masks (_first_layer): AND the
-table against the mask of layer k, for k from n down (heavy end) or from
-0 up (light end), and stop at the first nonzero AND.  The paper's WLO
-scan stops at the first support vector along l_n; inside a layer l_n
-ascends, so that vector is the highest set bit of the AND from the heavy
-end and the lowest from the light end.  SearchStats.probes is still the
-number of serials the paper's scan probes: the hit's position in l_n,
-which is the layers below it plus its colex rank inside its layer, or
-2^n on a miss.
+Every search runs one kernel (_first_layer): it finds the first layer k
+from one end whose mask meets the table, and returns their AND.  The
+light end ANDs the table against the masks from layer 0 up and stops at
+the first nonzero AND.  The heavy end bisects the unions of the masks
+(MaskSet.above) from the weight of the table's top set bit, so it spends
+at most ceil(log2 n) + 1 ANDs where the paper's loop spends one per
+layer from n down.  The paper's WLO scan stops at the first support
+vector along l_n; inside a layer l_n ascends, so that vector is the
+highest set bit of the AND from the heavy end and the lowest from the
+light end.  SearchStats.probes is still the number of serials the
+paper's scan probes: the hit's position in l_n, which is the layers
+below it plus its colex rank inside its layer, or 2^n on a miss.
 
 The bitwise route returns only the weight; layer_support then reads the
 witnesses out of that layer's AND.  It costs at most 16 passes over the
@@ -43,8 +46,10 @@ class SearchHit(NamedTuple):
 class SearchStats:
     """Optional probe/word-op counters for the search routines.
 
-    word_ops counts the 64-bit words of the raw format that an AND covers:
-    word_count(n) per layer row tested.
+    rows_tested and word_ops are the counts of the paper's bitwise loop,
+    which ANDs one layer row at a time from n down: the rows down to the
+    hit, and word_count(n) 64-bit words of the raw format per row.  Both
+    are derived from the hit; they are not the ANDs the kernel spends.
     """
 
     probes: int = 0
@@ -89,14 +94,42 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
 def _first_layer(bits: int, ms: MaskSet, heavy: bool) -> int:
     """bits & mask k for the first layer k in scan order whose AND is nonzero.
 
-    The heavy end tests layers n down to 0, the light end 0 up to n.  0
+    The heavy end finds the greatest such k, the light end the least.  0
     when every AND is zero.  Every set bit of the result has weight k.
+
+    The heavy end bisects the unions ms.above: k is the greatest layer
+    with bits & above[k] nonzero, and that AND is bits & mask k, since
+    every layer above k misses.  The weight of the table's top set bit
+    bounds k from below for free, and it is n iff the top row is set,
+    which dense tables hit half the time at no AND.  So the heavy end
+    costs at most ceil(log2 n) + 1 ANDs, where a walk down the layers
+    spent one per empty layer.  The light end walks the masks from layer 0
+    up: dense and low-degree tables stop at once, and no bound comes free
+    at that end, since the lowest set bit costs a two's-complement pass
+    over the table.
     """
-    for mask in reversed(ms.masks) if heavy else ms.masks:
-        x = bits & mask.bits
-        if x:
-            return x
-    return 0
+    if not heavy:
+        for mask in ms.masks:
+            x = bits & mask.bits
+            if x:
+                return x
+        return 0
+    if not bits:
+        return 0
+    k, hi, x = (bits.bit_length() - 1).bit_count(), ms.n - 1, 0
+    if k > hi:  # the top row: its one serial is the table's top set bit
+        return ms.masks[k].bits
+    if k < hi:  # dense tables mostly stop at k == n-1 and skip this
+        above = ms.above
+        while k < hi:
+            mid = (k + hi + 1) >> 1
+            y = bits & above[mid]
+            if y:
+                k, x = mid, y
+            else:
+                hi = mid - 1
+    # x, when set, is the AND at the final k; else k is still the bound
+    return x or bits & ms.masks[k].bits
 
 
 def _wlo_position(n: int, s: int) -> int:
@@ -152,7 +185,8 @@ def wlo_search_min(tt: TruthTable, seq: Optional[WloSequence] = None, stats: Opt
 
 
 def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats] = None) -> Optional[int]:
-    """AND against layer masks from the top layer down; return the layer index.
+    """The heaviest layer that meets the table: the paper's AND against
+    layer masks from the top layer down, bisected over ms.above.
 
     Only the maximal weight is returned; witnesses are recovered separately
     via layer_support.

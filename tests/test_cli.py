@@ -1,4 +1,5 @@
 import os
+import random
 import resource
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ from wlocube import TruthTable, wlo_bucket, wlo_search_max
 from wlocube import bench as bench_mod
 from wlocube import wlo as wlo_mod
 from wlocube.cli import main
+from wlocube.masks import word_count
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -20,6 +22,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def labels(m):
+    """A --universe of m distinct labels."""
+    return ",".join(f"x{i}" for i in range(m))
 
 
 def test_wlo_golden(capsys):
@@ -107,6 +114,25 @@ def test_search_from_raw_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "12 2"
 
 
+def test_table_string_and_raw_file_agree_at_n8_and_n10(capsys, tmp_path):
+    # a 0/1 string of 2^n >= 256 characters is too long a name for a file
+    rng = random.Random(8)
+    for n in (8, 10):
+        for bits in (rng.getrandbits(1 << n), 1 << rng.randrange(1 << n) | 1 << 3, 0):
+            tt = TruthTable(n, bits)
+            raw = tmp_path / f"tt{n}.bin"
+            raw.write_bytes(bits.to_bytes(8 * word_count(n), "little"))
+            for argv in (("search", "--tt"), ("search", "--min", "--tt"), ("degree", "--anf"), ("degree", "--from-tt", "--anf")):
+                outs = []
+                for spec in (tt.to_bitstring(), str(raw)):
+                    code, out, err = run(capsys, *argv[:-1], "--n", str(n), argv[-1], spec)
+                    assert code == 0 and err == "", (argv, err)
+                    outs.append(out)
+                assert outs[0] == outs[1] and outs[0].strip(), (n, argv, outs)
+    code, out, err = run(capsys, "search", "--n", "8", "--tt", str(tmp_path / "nope.bin"))
+    assert code == 1 and out == "" and "--tt: no such file, and " in err
+
+
 def test_search_rejects_stray_high_bits(capsys, tmp_path):
     # at n=4 a raw word carries 16 coordinates; the other 48 bits must be 0
     tt_file = tmp_path / "tt.bin"
@@ -181,6 +207,11 @@ def test_subsets_commands(capsys):
     code, out, _ = run(capsys, "subsets", "--universe", "a,b,c,d", "--k", "2")
     assert code == 0
     assert out.splitlines() == ["c,d", "b,d", "b,c", "a,d", "a,c", "a,b"]
+    # --rank and --unrank print one line at any universe size
+    code, out, _ = run(capsys, "subsets", "--universe", labels(30), "--rank", "x0,x29")
+    assert code == 0 and out.strip() == str((1 << 29) + 1)
+    code, out, _ = run(capsys, "subsets", "--universe", labels(30), "--unrank", str((1 << 30) - 1))
+    assert code == 0 and out.strip() == labels(30)
 
 
 def test_bench_gen_and_run(capsys, tmp_path):
@@ -301,6 +332,9 @@ def test_domain_error_exit_code(capsys, tmp_path):
         (("wlo", "--n", "25"), ("--n 25", "33554432", "16777216")),
         (("wlo", "--n", "30", "--layer", "15", "--out", str(target)), ("--layer 15", "155117520", "16777216")),
         (("subsets", "--universe", "a,b,c", "--k", "5"), ("k=5", "[0, 3]")),
+        # more than 2^24 lines: every subset of 25 labels, or C(30, 15) of 30
+        (("subsets", "--universe", labels(25), "--all"), ("--all", "--universe of 25", "33554432", "16777216")),
+        (("subsets", "--universe", labels(30), "--k", "15"), ("--k 15", "--universe of 30", "155117520", "16777216")),
         (("search", "--n", "10", "--tt", missing), ("--tt", "no such file", "1024", f"got {len(missing)}")),
         (("degree", "--n", "10", "--anf", missing), ("--anf", "no such file", "1024", f"got {len(missing)}")),
     ):

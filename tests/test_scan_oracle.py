@@ -1,10 +1,12 @@
-"""The WLO scans and layer_support against literal walks over serials.
+"""The searches and layer_support against literal walks.
 
-wlo_search_max/_min AND the table against one layer mask at a time and
+wlo_search_max/_min find the first nonempty layer of the table and
 derive the probe count from the hit's colex rank; the oracle here probes
 one serial of seq.order at a time and counts every probe, as the paper's
-scan does.  layer_support peels up to a budget of set bits and byte-scans
-the rest; its oracle tests every serial of the layer.
+scan does.  The heavy end bisects the unions MaskSet.above; its oracle
+is the paper's bitwise loop, one AND per layer from n down.
+layer_support peels up to a budget of set bits and byte-scans the rest;
+its oracle tests every serial of the layer.
 """
 
 import copy
@@ -23,16 +25,19 @@ from wlocube import (
     SearchHit,
     SearchStats,
     TruthTable,
+    algebraic_degree,
+    bitwise_search_max,
     exhaustive_max,
     layer_serials,
     layer_support,
+    masks_from_wlo,
     masks_recursive,
     wlo_bucket,
     wlo_search_max,
     wlo_search_min,
 )
 from wlocube.cube import cached_weight_table
-from wlocube.search import _PEEL_BUDGET, _PEEL_WINDOW
+from wlocube.search import _PEEL_BUDGET, _PEEL_WINDOW, _first_layer
 
 # wlo_bucket rebuilds the sequence on every call
 wlo = lru_cache(maxsize=None)(wlo_bucket)
@@ -156,6 +161,131 @@ def test_threads_sharing_a_fresh_sequence():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
+
+
+def top_down_scan(tt, ms):
+    """The paper's bitwise loop: the first layer from n down that meets the table."""
+    return next((k for k in range(tt.n, -1, -1) if tt.bits & ms[k].bits), None)
+
+
+def check_heavy_end(tt, ms):
+    """The heavy-end searches against top_down_scan; returns its layer."""
+    k = top_down_scan(tt, ms)
+    assert _first_layer(tt.bits, ms, True) == (0 if k is None else tt.bits & ms[k].bits)
+    assert bitwise_search_max(tt, ms) == k
+    assert algebraic_degree(tt, ms) == k
+    stats = SearchStats()
+    hit = wlo_search_max(tt, None, stats)
+    assert (hit, stats.probes) == literal_scan(tt.bits, wlo(tt.n).order[::-1])
+    assert (hit and hit.weight) == k
+    return k
+
+
+def mask_sets(n):
+    return masks_recursive(n), masks_from_wlo(wlo(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_heavy_end_every_function(n):
+    for ms in mask_sets(n):
+        for bits in range(1 << (1 << n)):
+            check_heavy_end(TruthTable(n, bits), ms)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_heavy_end_every_single_bit(n):
+    for s in range(1 << n):
+        assert check_heavy_end(TruthTable(n, 1 << s), masks_recursive(n)) == s.bit_count()
+
+
+@pytest.mark.parametrize("n", [1, 4, 12, 16, 20])
+def test_heavy_end_zero_table(n):
+    ms = masks_recursive(n)
+    assert _first_layer(0, ms, True) == 0
+    assert bitwise_search_max(TruthTable(n, 0), ms) is None and wlo_search_max(TruthTable(n, 0)) is None
+
+
+@st.composite
+def tables_bounded_below(draw):
+    """A table whose top set bit t is lighter than a set bit h < t below it.
+
+    h and t share the bits above some position q; t has bit q and nothing
+    below it, h has at least two bits below q.
+    """
+    n = draw(st.integers(3, 12))
+    q = draw(st.integers(2, n - 1))
+    a, b = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+    high = draw(st.integers(0, (1 << n) - 1)) >> (q + 1) << (q + 1)
+    h = high | 1 << a | 1 << b | draw(st.integers(0, (1 << q) - 1))
+    t = high | 1 << q
+    noise = draw(st.integers(0, (1 << t) - 1)) if draw(st.booleans()) else 0
+    return TruthTable(n, 1 << t | 1 << h | noise)
+
+
+@st.composite
+def tables_bounded_at(draw):
+    """A table whose top set bit is also its heaviest, other bits at random below it."""
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(0, (1 << n) - 1))
+    ms = masks_recursive(n)
+    light = sum(ms[j].bits for j in range(t.bit_count() + 1))
+    return TruthTable(n, 1 << t | draw(st.integers(0, (1 << t) - 1)) & light)
+
+
+@given(tables_bounded_below())
+def test_heavy_end_bound_below_the_answer(tt):
+    top = (tt.bits.bit_length() - 1).bit_count()
+    assert check_heavy_end(tt, masks_recursive(tt.n)) > top
+
+
+@given(tables_bounded_at())
+def test_heavy_end_bound_is_the_answer(tt):
+    top = (tt.bits.bit_length() - 1).bit_count()
+    assert check_heavy_end(tt, masks_recursive(tt.n)) == top
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unions_above(n):
+    for ms in mask_sets(n):
+        above = ms.above
+        assert len(above) == n + 2
+        assert above[0] == (1 << (1 << n)) - 1 and above[n + 1] == 0
+        for k in range(n + 1):
+            assert above[k] == above[k + 1] | ms[k].bits
+    assert mask_sets(n)[0].above == mask_sets(n)[1].above
+
+
+class CountingInt(int):
+    """An int that counts the ANDs it takes part in."""
+
+    ands = 0
+
+    def __and__(self, other):
+        CountingInt.ands += 1
+        return int.__and__(self, other)
+
+    __rand__ = __and__
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_heavy_end_ands_per_single_bit(n):
+    # at most ceil(log2 n) + 1 ANDs for one bit of any weight: the top row
+    # costs none, the bisection ceil(log2 n), and the final AND one; the
+    # walk down the layers took n + 1 for a bit of weight 0
+    budget = (n - 1).bit_length() + 1
+    ms = masks_recursive(n)
+    rng = random.Random(n)
+    spent = []
+    for w in range(n + 1):
+        lowest = (1 << w) - 1
+        for s in (lowest, lowest << (n - w), *(sum(1 << b for b in rng.sample(range(n), w)) for _ in range(2))):
+            tt = TruthTable(n, CountingInt(1 << s))
+            for search in (lambda: bitwise_search_max(tt, ms), lambda: algebraic_degree(tt, ms), lambda: wlo_search_max(tt).weight):
+                CountingInt.ands = 0
+                assert search() == w
+                spent.append(CountingInt.ands)
+                assert CountingInt.ands <= budget, (n, s, CountingInt.ands)
+    assert max(spent) > 0  # the counter sees the kernel's ANDs
 
 
 def check_layer_support(tt, k):
