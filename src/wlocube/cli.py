@@ -18,7 +18,7 @@ from .counts import SEQUENCES
 from .cube import MAX_DIM
 from .masks import TruthTable, mask_bit_rows, mask_paper_serial, masks_recursive, word_count
 from .search import algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
-from .subsets import SubsetHandle, SubsetUniverse, k_subsets, members_in_order, rank, subsets_in_cardinality_order
+from .subsets import SubsetHandle, SubsetUniverse, members_in_order, rank
 from .wlo import layer_serials
 
 # wlo refuses a request for more serials, and subsets --all/--k for more
@@ -33,11 +33,24 @@ def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
     # os.path.exists is False where Path.exists raises before Python 3.12,
     # for a name too long to be a file: the 0/1 string of a table at n >= 8
     if os.path.exists(spec):
-        return TruthTable.from_raw(n, Path(spec).read_bytes())
+        try:
+            data = Path(spec).read_bytes()
+        except OSError as exc:  # a directory, say: neither form the option takes
+            raise ValueError(f"{option}: cannot read {spec!r} ({exc.strerror}); {option} takes a raw word file or a string of {1 << n} 0/1 characters") from None
+        return TruthTable.from_raw(n, data)
     try:
         return TruthTable.from_bitstring(n, spec)
     except ValueError as exc:
         raise ValueError(f"{option}: no such file, and {exc}") from None
+
+
+def _write_joined(out, items, sep: str) -> None:
+    """Write the strings of items joined by sep, then a newline, 2^16 at a
+    time, so memory stays flat at any count; items holds at least one."""
+    out.write(next(items))
+    for chunk in iter(lambda: list(islice(items, 1 << 16)), []):
+        out.write(sep + sep.join(chunk))
+    out.write("\n")
 
 
 def _cmd_wlo(args) -> int:
@@ -50,14 +63,9 @@ def _cmd_wlo(args) -> int:
         raise ValueError(f"--layer must be in [0, {n}] at --n {n}, got {args.layer}")
     if count > MAX_WLO_SERIALS:
         raise ValueError(f"{asked} asks for {count} serials; wlo prints at most {MAX_WLO_SERIALS}")
-    # streamed a chunk of serials at a time, so memory stays flat at any n
     serials = chain.from_iterable(layer_serials(n, k) for k in layers)
-    sep = "\n" if args.out else " "
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        out.write(str(next(serials)))
-        for chunk in iter(lambda: list(islice(serials, 1 << 16)), []):
-            out.write(sep + sep.join(map(str, chunk)))
-        out.write("\n")
+        _write_joined(out, map(str, serials), "\n" if args.out else " ")
     return 0
 
 
@@ -102,21 +110,34 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _label_lists(labels: tuple[str, ...]) -> list[str]:
+    """Per serial of len(labels) bits, its member labels, each followed by a
+    comma; labels[0] is the top bit, as in SubsetHandle."""
+    table = [""]
+    for label in reversed(labels):
+        table += [label + "," + t for t in table]
+    return table
+
+
 def _cmd_subsets(args) -> int:
     universe = SubsetUniverse(tuple(args.universe.split(",")))
     size = universe.n
     if args.all or args.k is not None:
         if args.all:
-            handles, count, asked = subsets_in_cardinality_order(universe), 1 << size, "--all"
+            layers, count, asked = range(size + 1), 1 << size, "--all"
         else:
-            # comb is 0 for k > size; k_subsets then names the range of --k
-            handles, count, asked = k_subsets(universe, args.k), comb(size, max(args.k, 0)), f"--k {args.k}"
+            # comb is 0 for k > size; layer_serials then names the range of k
+            layers, count, asked = (args.k,), comb(size, max(args.k, 0)), f"--k {args.k}"
         if count > MAX_WLO_SERIALS:
             raise ValueError(
                 f"{asked} of a --universe of {size} labels asks for {count} subsets; subsets prints at most {MAX_WLO_SERIALS}"
             )
-        for handle in handles:
-            print(",".join(members_in_order(handle)))
+        # each line is two table lookups, one per half of the serial
+        low = size >> 1
+        high, rest = _label_lists(universe.elements[: size - low]), _label_lists(universe.elements[size - low :])
+        mask = (1 << low) - 1
+        serials = chain.from_iterable(layer_serials(size, k) for k in layers)
+        _write_joined(sys.stdout, ((high[s >> low] + rest[s & mask])[:-1] for s in serials), "\n")
     elif args.rank is not None:
         members = [m for m in args.rank.split(",") if m]
         print(rank(universe, members).serial)

@@ -22,21 +22,51 @@ def word_count(n: int) -> int:
     return 1 << max(0, n - 6)
 
 
-@dataclass(frozen=True)
 class TruthTable:
     """A Boolean function of n variables as one int of 2^n bits.
 
     Bit i is f(alpha) for the vector with serial i.  The same layout
     stores ANF coefficient vectors and the layer masks.
+
+    An immutable value, equal and hashed by (n, bits).  It is slotted, not
+    a frozen dataclass, whose __init__ was 84% of from_raw at n=10 (CPython
+    3.11, x86-64).  TruthTable(n, bits) checks both; _trusted checks
+    nothing, and is only for bits the library bounded itself: from_bits,
+    the masks, mobius_transform, and from_raw at n >= 6, whose 2^(n-3)
+    bytes are 2^n bits.
     """
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self):
-        check_dim(self.n)
-        if not isinstance(self.bits, int) or self.bits < 0 or self.bits >> (1 << self.n):
-            raise ValueError(f"truth table bits must be an int in [0, 2^{1 << self.n}) for n={self.n}")
+    def __new__(cls, n: int, bits: int):
+        check_dim(n)
+        if not isinstance(bits, int) or bits < 0 or bits >> (1 << n):
+            raise ValueError(f"truth table bits must be an int in [0, 2^{1 << n}) for n={n}")
+        return cls._trusted(n, bits)
+
+    @classmethod
+    def _trusted(cls, n: int, bits: int) -> "TruthTable":
+        self = _new(cls)
+        _set_n(self, n)
+        _set_bits(self, bits)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TruthTable is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (self.n, self.bits) == (other.n, other.bits) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.bits))
+
+    def __repr__(self):
+        return f"TruthTable(n={self.n!r}, bits={self.bits!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.bits)
 
     @classmethod
     def from_bits(cls, n: int, ones: Iterable[int]) -> "TruthTable":
@@ -49,7 +79,7 @@ class TruthTable:
             if not 0 <= i < size:
                 raise ValueError(f"serial must be in [0, {size}) for n={n}, got {i}")
             buf[i >> 3] |= 1 << (i & 7)
-        return cls(n, int.from_bytes(buf, "little"))
+        return cls._trusted(n, int.from_bytes(buf, "little"))
 
     @classmethod
     def from_bitstring(cls, n: int, s: str) -> "TruthTable":
@@ -68,10 +98,15 @@ class TruthTable:
         w = word_count(n)
         if len(data) != 8 * w:
             raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
-        return cls(n, int.from_bytes(data, "little"))
+        # below n=6 the one word holds bits past 2^n, which the check rejects
+        return (cls._trusted if n >= 6 else cls)(n, int.from_bytes(data, "little"))
 
     def to_bitstring(self) -> str:
         return format(self.bits, f"0{1 << self.n}b")[::-1]
+
+
+# the slot descriptors store past the __setattr__ that keeps tables immutable
+_new, _set_n, _set_bits = object.__new__, TruthTable.n.__set__, TruthTable.bits.__set__
 
 
 @dataclass(frozen=True)
@@ -127,7 +162,7 @@ def masks_recursive(n: int) -> MaskSet:
     for r in range(2, n + 1):
         half = 1 << (r - 1)
         rows = [low | (high << half) for low, high in zip(rows + [0], [0] + rows)]
-    return MaskSet(n, tuple(TruthTable(n, bits) for bits in rows))
+    return MaskSet(n, tuple(TruthTable._trusted(n, bits) for bits in rows))
 
 
 def mask_test(mask: TruthTable, serial: int) -> bool:

@@ -57,6 +57,7 @@ class SearchStats:
     rows_tested: int = 0
 
 
+_new_hit = tuple.__new__
 # per byte value: the positions of its set bits, and a 0/1 nonzero flag
 _BYTE_ONES = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
 _NONZERO_BYTE = bytes([0] + [1] * 255)
@@ -167,7 +168,8 @@ def _wlo_scan(tt: TruthTable, seq: Optional[WloSequence], heavy: bool, stats: Op
         # complementing maps l_n read from its heavy end onto l_n, so the
         # heavy end's 2^n - pos(s) is pos(~s) + 1, a rank over few bits
         stats.probes += _wlo_position(n, s ^ ((1 << n) - 1) if heavy else s) + 1
-    return SearchHit(s, s.bit_count())
+    # the named tuple's own __new__ is a Python-level wrapper round this call
+    return _new_hit(SearchHit, (s, s.bit_count()))
 
 
 def wlo_search_max(tt: TruthTable, seq: Optional[WloSequence] = None, stats: Optional[SearchStats] = None) -> Optional[SearchHit]:
@@ -261,7 +263,7 @@ def mobius_transform(tt: TruthTable) -> TruthTable:
     v = tt.bits
     for s, p in enumerate(_butterfly_patterns(tt.n)):
         v ^= (v & p) << (1 << s)
-    return TruthTable(tt.n, v)
+    return TruthTable._trusted(tt.n, v)
 
 
 def algebraic_degree(anf: TruthTable, ms: MaskSet) -> Optional[int]:

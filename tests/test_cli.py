@@ -13,6 +13,7 @@ from wlocube import bench as bench_mod
 from wlocube import wlo as wlo_mod
 from wlocube.cli import main
 from wlocube.masks import word_count
+from wlocube.subsets import SubsetUniverse, k_subsets, members_in_order, subsets_in_cardinality_order
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -133,6 +134,23 @@ def test_table_string_and_raw_file_agree_at_n8_and_n10(capsys, tmp_path):
     assert code == 1 and out == "" and "--tt: no such file, and " in err
 
 
+def test_unreadable_table_path_names_the_option(capsys, tmp_path, monkeypatch):
+    # a directory, or a file that cannot be read, is neither form --tt/--anf takes
+    for argv in (("search", "--n", "4", "--tt"), ("degree", "--n", "4", "--anf")):
+        code, out, err = run(capsys, *argv, str(tmp_path))
+        assert code == 1 and out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {argv[-1]}: cannot read ") and f"; {argv[-1]} takes a raw word file or a string of 16 0/1" in err, err
+    tt_file = tmp_path / "tt.bin"
+    tt_file.write_bytes(bytes(8))
+
+    def denied(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    code, out, err = run(capsys, "search", "--n", "4", "--tt", str(tt_file))
+    assert code == 1 and out == "" and err.startswith("error: --tt: cannot read ") and "Permission denied" in err, err
+
+
 def test_search_rejects_stray_high_bits(capsys, tmp_path):
     # at n=4 a raw word carries 16 coordinates; the other 48 bits must be 0
     tt_file = tmp_path / "tt.bin"
@@ -212,6 +230,18 @@ def test_subsets_commands(capsys):
     assert code == 0 and out.strip() == str((1 << 29) + 1)
     code, out, _ = run(capsys, "subsets", "--universe", labels(30), "--unrank", str((1 << 30) - 1))
     assert code == 0 and out.strip() == labels(30)
+
+
+def test_subsets_lines_match_the_handles(capsys):
+    # the CLI renders serials by table lookup; the library's handles are the reference
+    for universe in ("a", "p,,q", labels(5), labels(7)):
+        u = SubsetUniverse(tuple(universe.split(",")))
+        cases = [("--all",), *(("--k", str(k)) for k in range(u.n + 1))]
+        for opt in cases:
+            handles = subsets_in_cardinality_order(u) if opt == ("--all",) else k_subsets(u, int(opt[1]))
+            code, out, err = run(capsys, "subsets", "--universe", universe, *opt)
+            assert code == 0 and err == ""
+            assert out == "".join(",".join(members_in_order(h)) + "\n" for h in handles), (universe, opt)
 
 
 def test_bench_gen_and_run(capsys, tmp_path):

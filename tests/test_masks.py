@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from wlocube import mask_paper_serial, mask_test, masks_from_wlo, masks_recursive, wlo_bucket
+from wlocube import TruthTable, mask_paper_serial, mask_test, masks_from_wlo, masks_recursive, wlo_bucket
 from wlocube.masks import mask_bit_rows, word_count
 
 PAPER_SERIALS = {
@@ -37,6 +37,8 @@ def test_constructions_agree():
         b = masks_recursive(n)
         for k in range(n + 1):
             assert a[k].bits == b[k].bits
+            # masks_recursive builds its masks without the range check
+            assert b[k] == a[k] == TruthTable(n, b[k].bits)
 
 
 def test_per_bit_oracle_and_popcount():

@@ -39,6 +39,21 @@ def test_raw_round_trip(tt):
 
 
 @given(tables())
+def test_unchecked_tables_pass_the_check(tt):
+    # from_raw at n >= 6, from_bits and mobius_transform build their tables
+    # without TruthTable's range check; each must pass it
+    n = tt.n
+    built = (
+        TruthTable.from_raw(n, tt.bits.to_bytes(8 * word_count(n), "little")),
+        TruthTable.from_bits(n, [i for i in range(1 << n) if tt.bits >> i & 1]),
+        mobius_transform(tt),
+    )
+    for t in built:
+        assert type(t) is TruthTable and t == TruthTable(t.n, t.bits)
+    assert built[0] == built[1] == tt
+
+
+@given(tables())
 def test_bitstring_round_trip(tt):
     s = tt.to_bitstring()
     assert len(s) == 1 << tt.n

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -43,6 +45,55 @@ def test_truth_table_construction():
         for ones in ([-1], [1 << n]):
             with pytest.raises(ValueError):
                 TruthTable.from_bits(n, ones)
+
+
+def test_truth_table_errors_keep_their_messages():
+    bits_msg = "truth table bits must be an int in [0, 2^16) for n=4"
+    cases = [
+        (lambda: TruthTable(4, (0, 0)), bits_msg),
+        (lambda: TruthTable(4, -1), bits_msg),
+        (lambda: TruthTable(4, 1 << 16), bits_msg),
+        (lambda: TruthTable(4, 1.0), bits_msg),
+        (lambda: TruthTable(0, 0), "dimension must be an integer in [1, 30], got 0"),
+        (lambda: TruthTable("4", 0), "dimension must be an integer in [1, 30], got '4'"),
+        # below n=6 a raw word carries bits past 2^n, which the checked path rejects
+        (lambda: TruthTable.from_raw(4, b"\xff" * 8), bits_msg),
+        (lambda: TruthTable.from_raw(2, b"\xff" * 8), "truth table bits must be an int in [0, 2^4) for n=2"),
+        (lambda: TruthTable.from_raw(4, bytes(3)), "expected 8 bytes for n=4, got 3"),
+        (lambda: TruthTable.from_raw(10, bytes(8)), "expected 128 bytes for n=10, got 8"),
+        (lambda: TruthTable.from_raw(0, bytes(8)), "dimension must be an integer in [1, 30], got 0"),
+        (lambda: TruthTable.from_bits(4, [16]), "serial must be in [0, 16) for n=4, got 16"),
+        (lambda: TruthTable.from_bits(4, [-1]), "serial must be in [0, 16) for n=4, got -1"),
+        (lambda: TruthTable.from_bitstring(4, "10"), "truth table string must be 16 characters of 0/1 for n=4, got 2"),
+        (lambda: TruthTable.from_bitstring(2, "01x1"), "truth table string must hold only 0/1, got ['x']"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_truth_table_is_an_immutable_value():
+    tt = TruthTable(4, 5)
+    for name in ("n", "bits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(tt, name, 1)
+    for name in ("n", "bits"):
+        with pytest.raises(AttributeError):
+            delattr(tt, name)
+    assert (tt.n, tt.bits) == (4, 5) and not hasattr(tt, "__dict__")
+    assert tt == TruthTable(4, 5) and hash(tt) == hash(TruthTable(4, 5))
+    assert tt != TruthTable(4, 6) and tt != TruthTable(5, 5) and tt != (4, 5)
+    assert len({tt, TruthTable(4, 5), make_tt(4, {0, 2})}) == 1
+    assert repr(tt) == "TruthTable(n=4, bits=5)"
+    for clone in (pickle.loads(pickle.dumps(tt)), copy.copy(tt), copy.deepcopy(tt)):
+        assert type(clone) is TruthTable and clone == tt
+
+    class Flags(int):
+        pass
+
+    # the table keeps the int it was given, subclass and all
+    assert type(TruthTable(4, Flags(5)).bits) is Flags
 
 
 def test_exhaustive_examples():
