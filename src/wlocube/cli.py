@@ -34,10 +34,11 @@ def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
     # for a name too long to be a file: the 0/1 string of a table at n >= 8
     if os.path.exists(spec):
         try:
-            data = Path(spec).read_bytes()
+            return TruthTable.from_raw(n, Path(spec).read_bytes())
         except OSError as exc:  # a directory, say: neither form the option takes
             raise ValueError(f"{option}: cannot read {spec!r} ({exc.strerror}); {option} takes a raw word file or a string of {1 << n} 0/1 characters") from None
-        return TruthTable.from_raw(n, data)
+        except ValueError as exc:  # the wrong size, or bits past 2^n below n=6
+            raise ValueError(f"{option}: {spec!r}: {exc}") from None
     try:
         return TruthTable.from_bitstring(n, spec)
     except ValueError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .cube import check_dim, check_serial
+from .cube import MAX_DIM, check_dim, check_serial
 from .wlo import WloSequence, layer_slice
 
 
@@ -94,12 +94,15 @@ class TruthTable:
     @classmethod
     def from_raw(cls, n: int, data: bytes) -> "TruthTable":
         """Parse raw little-endian 64-bit words (the corpus file format)."""
+        # a valid table at n >= 6 is 2^(n-3) bytes; the rest is checked below
+        if n.__class__ is int and 6 <= n <= MAX_DIM and len(data) == 1 << (n - 3):
+            return cls._trusted(n, int.from_bytes(data, "little"))
         check_dim(n)
         w = word_count(n)
         if len(data) != 8 * w:
             raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
         # below n=6 the one word holds bits past 2^n, which the check rejects
-        return (cls._trusted if n >= 6 else cls)(n, int.from_bytes(data, "little"))
+        return cls(n, int.from_bytes(data, "little"))
 
     def to_bitstring(self) -> str:
         return format(self.bits, f"0{1 << self.n}b")[::-1]

@@ -7,7 +7,8 @@ answer: a full linear scan, a scan along the WLO sequence that stops at
 the first hit, and a layer scan that ANDs the table against one layer
 mask at a time.  The module also computes the algebraic degree of a
 function from its ANF coefficient vector, which shares the truth-table
-layout.
+layout; mobius_transform maps a truth table to that vector in n steps
+read from a step table cached per n.
 
 Every search runs one kernel (_first_layer): it finds the first layer k
 from one end whose mask meets the table, and returns their AND.  The
@@ -193,7 +194,8 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
     Only the maximal weight is returned; witnesses are recovered separately
     via layer_support.
     """
-    _check_same_dim(tt.n, ms.n, "mask set")
+    if tt.n != ms.n:
+        _check_same_dim(tt.n, ms.n, "mask set")
     x = _first_layer(tt.bits, ms, True)
     hit = (x.bit_length() - 1).bit_count() if x else None
     if stats is not None:
@@ -213,7 +215,8 @@ def layer_support(tt: TruthTable, mask: TruthTable) -> list[int]:
     the top _PEEL_WINDOW bits of the AND alone hold more set bits than the
     budget, the peel is skipped and the byte scan reads the whole AND.
     """
-    _check_same_dim(tt.n, mask.n, "mask")
+    if tt.n != mask.n:
+        _check_same_dim(tt.n, mask.n, "mask")
     x = tt.bits & mask.bits
     peeled = []
     low = x.bit_length() - _PEEL_WINDOW
@@ -236,21 +239,21 @@ def layer_support(tt: TruthTable, mask: TruthTable) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _butterfly_patterns(n: int) -> tuple[int, ...]:
-    """P_s for s < n: the 2^n-bit int with bit i set iff bit s of i is 0.
+def _butterfly_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """(2^s, P_s) for s < n, P_s the 2^n-bit int with bit i set iff bit s of i is 0.
 
     Built by doubling a block of 2^s ones followed by 2^s zeros.
     """
     size = 1 << n
-    patterns = []
+    steps = []
     for s in range(n):
         p = (1 << (1 << s)) - 1
         width = 2 << s
         while width < size:
             p |= p << width
             width <<= 1
-        patterns.append(p)
-    return tuple(patterns)
+        steps.append((1 << s, p))
+    return tuple(steps)
 
 
 def mobius_transform(tt: TruthTable) -> TruthTable:
@@ -258,11 +261,12 @@ def mobius_transform(tt: TruthTable) -> TruthTable:
 
     Maps a truth table to its ANF coefficient vector and back.  Step s
     XORs every coordinate whose serial has bit s clear into its partner
-    2^s above: v ^= (v & P_s) << 2^s (TAOCP 4A, 7.1.3).
+    2^s above: v ^= (v & P_s) << 2^s (TAOCP 4A, 7.1.3), from a step table
+    of (2^s, P_s) built once per n.
     """
     v = tt.bits
-    for s, p in enumerate(_butterfly_patterns(tt.n)):
-        v ^= (v & p) << (1 << s)
+    for d, p in _butterfly_steps(tt.n):
+        v ^= (v & p) << d
     return TruthTable._trusted(tt.n, v)
 
 

@@ -347,7 +347,7 @@ def test_fixtures_detects_corruption(capsys, tmp_path):
     assert f"A001142: FAIL at index {idx}" in out
 
 
-def test_domain_error_exit_code(capsys, tmp_path):
+def test_domain_error_exit_code(capsys, tmp_path, tmp_path_factory):
     code, _, err = run(capsys, "wlo", "--n", "0")
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "search", "--n", "4", "--tt", "0101")
@@ -355,6 +355,11 @@ def test_domain_error_exit_code(capsys, tmp_path):
     # one error line that names the option and what it accepts, before any output
     missing = str(tmp_path / "missing.bin")
     target = tmp_path / "l.txt"
+    # raw word files that from_raw refuses: the wrong size, and bits past 2^4 at n=4
+    inputs = tmp_path_factory.mktemp("inputs")
+    short, high = inputs / "short.bin", inputs / "high.bin"
+    short.write_bytes(bytes(3))
+    high.write_bytes(b"\xff" * 8)
     for argv, needles in (
         (("wlo", "--n", "4", "--layer", "5", "--out", str(target)), ("--layer", "[0, 4]")),
         (("wlo", "--n", "4", "--layer", "-1"), ("--layer", "[0, 4]")),
@@ -367,6 +372,11 @@ def test_domain_error_exit_code(capsys, tmp_path):
         (("subsets", "--universe", labels(30), "--k", "15"), ("--k 15", "--universe of 30", "155117520", "16777216")),
         (("search", "--n", "10", "--tt", missing), ("--tt", "no such file", "1024", f"got {len(missing)}")),
         (("degree", "--n", "10", "--anf", missing), ("--anf", "no such file", "1024", f"got {len(missing)}")),
+        (("search", "--n", "4", "--tt", str(short)), (f"error: --tt: {str(short)!r}: expected 8 bytes for n=4, got 3\n",)),
+        (
+            ("degree", "--n", "4", "--anf", str(high)),
+            (f"error: --anf: {str(high)!r}: truth table bits must be an int in [0, 2^16) for n=4\n",),
+        ),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and len(err.splitlines()) == 1

@@ -32,12 +32,13 @@ from wlocube import (
     layer_support,
     masks_from_wlo,
     masks_recursive,
+    mobius_transform,
     wlo_bucket,
     wlo_search_max,
     wlo_search_min,
 )
 from wlocube.cube import cached_weight_table
-from wlocube.search import _PEEL_BUDGET, _PEEL_WINDOW, _first_layer
+from wlocube.search import _PEEL_BUDGET, _PEEL_WINDOW, _butterfly_steps, _first_layer
 
 # wlo_bucket rebuilds the sequence on every call
 wlo = lru_cache(maxsize=None)(wlo_bucket)
@@ -122,9 +123,11 @@ def test_scanned_sequence_copies():
 
 
 def test_threads_sharing_a_fresh_sequence():
-    # the searches share only the per-n caches of masks_recursive and
-    # cached_weight_table; threads that race the first calls at a fresh n
-    # must each get the literal scan's answer, whichever thread filled them
+    # the searches share only the per-n caches of masks_recursive,
+    # cached_weight_table and _butterfly_steps; threads that race the first
+    # calls at a fresh n must each get the literal scan's answer, and the
+    # transform one thread computed before the caches were cleared,
+    # whichever thread filled them
     rng = random.Random(5)
     cases = {}
     for n in (6, 9, 12):
@@ -132,17 +135,18 @@ def test_threads_sharing_a_fresh_sequence():
         tables = [TruthTable(n, 1 << rng.randrange(1 << n)) for _ in range(8)]
         tables += [TruthTable(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n)) for _ in range(4)]
         cases[n] = [
-            (tt, literal_scan(tt.bits, seq.order[::-1])[0], literal_scan(tt.bits, seq.order)[0]) for tt in tables
+            (tt, literal_scan(tt.bits, seq.order[::-1])[0], literal_scan(tt.bits, seq.order)[0], mobius_transform(tt))
+            for tt in tables
         ]
     wrong = []
 
     def work(n, seed):
-        for tt, top, bottom in random.Random(seed).sample(cases[n], len(cases[n])):
+        for tt, top, bottom, anf in random.Random(seed).sample(cases[n], len(cases[n])):
             try:
-                got = (wlo_search_max(tt), wlo_search_min(tt), exhaustive_max(tt))
+                got = (wlo_search_max(tt), wlo_search_min(tt), exhaustive_max(tt), mobius_transform(tt))
             except Exception as exc:  # a thread's exception would otherwise pass unseen
                 got = exc
-            if got != (top, bottom, top):
+            if got != (top, bottom, top, anf):
                 wrong.append((n, tt.bits, got))
 
     interval = sys.getswitchinterval()
@@ -152,6 +156,7 @@ def test_threads_sharing_a_fresh_sequence():
             for n in cases:
                 masks_recursive.cache_clear()
                 cached_weight_table.cache_clear()
+                _butterfly_steps.cache_clear()
                 threads = [threading.Thread(target=work, args=(n, 4 * trial + i)) for i in range(4)]
                 for t in threads:
                     t.start()

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,11 @@ def test_truth_table_errors_keep_their_messages():
         (lambda: TruthTable.from_raw(4, bytes(3)), "expected 8 bytes for n=4, got 3"),
         (lambda: TruthTable.from_raw(10, bytes(8)), "expected 128 bytes for n=10, got 8"),
         (lambda: TruthTable.from_raw(0, bytes(8)), "dimension must be an integer in [1, 30], got 0"),
+        # the edges of from_raw's one-test path for valid tables at n in [6, 30]
+        (lambda: TruthTable.from_raw(6, bytes(7)), "expected 8 bytes for n=6, got 7"),
+        (lambda: TruthTable.from_raw(30, bytes(8)), "expected 134217728 bytes for n=30, got 8"),
+        (lambda: TruthTable.from_raw(31, bytes(8)), "dimension must be an integer in [1, 30], got 31"),
+        (lambda: TruthTable.from_raw("10", bytes(128)), "dimension must be an integer in [1, 30], got '10'"),
         (lambda: TruthTable.from_bits(4, [16]), "serial must be in [0, 16) for n=4, got 16"),
         (lambda: TruthTable.from_bits(4, [-1]), "serial must be in [0, 16) for n=4, got -1"),
         (lambda: TruthTable.from_bitstring(4, "10"), "truth table string must be 16 characters of 0/1 for n=4, got 2"),
@@ -71,6 +77,14 @@ def test_truth_table_errors_keep_their_messages():
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+    # a short file at n=30 is refused by its length, before 2^27 bytes exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            TruthTable.from_raw(30, bytes(8))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_truth_table_is_an_immutable_value():
@@ -186,7 +200,8 @@ def test_mobius_matches_reference():
         return a
 
     rng = random.Random(5)
-    for n in (1, 3, 5, 6, 7, 8):
+    # n = 10 and 12 run the step table's top steps, 2^9 and 2^11 apart
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 10, 12):
         for _ in range(20):
             tt = random_tt(rng, n)
             bits = [(tt.bits >> i) & 1 for i in range(1 << n)]
