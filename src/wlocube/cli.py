@@ -8,6 +8,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from itertools import chain, islice
 from math import comb
 from pathlib import Path
@@ -70,11 +71,47 @@ def _cmd_wlo(args) -> int:
     return 0
 
 
+# below 2^512 a value is rendered by Decimal(v), which calls str() on it
+_DECIMAL_LEAF_BITS = 512
+
+
+def _decimal(v: int) -> str:
+    """str(v) for an int v >= 0, in subquadratic time.
+
+    str() of an int takes time quadratic in its length before Python 3.12.
+    This splits v in halves on powers of 2 and joins the halves back in a
+    Decimal, whose products of long operands are subquadratic: the method
+    of CPython 3.12's _pylong module.
+    """
+    powers = {}
+
+    def pow2(w: int) -> Decimal:
+        p = powers.get(w)
+        if p is None:
+            h = w >> 1
+            p = powers[w] = Decimal(1 << w) if w <= _DECIMAL_LEAF_BITS else pow2(h) * pow2(w - h)
+        return p
+
+    def join(x: int, w: int) -> Decimal:
+        # x < 2^w
+        if w <= _DECIMAL_LEAF_BITS:
+            return Decimal(x)
+        h = w >> 1
+        high = x >> h
+        return join(high, w - h) * pow2(h) + join(x - (high << h), h)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        # an inexact step would be a wrong digit: raise instead
+        ctx.traps[Inexact] = True
+        return str(join(v, v.bit_length()))
+
+
 def _cmd_masks(args) -> int:
     ms = masks_recursive(args.n)
     if args.paper_serials:
         for mask in ms.masks:
-            print(mask_paper_serial(mask))
+            print(_decimal(mask_paper_serial(mask)))
     else:
         for mask in ms.masks:
             print(mask_bit_rows(mask))

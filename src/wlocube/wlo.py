@@ -1,22 +1,36 @@
 """Generation of the weight-lexicographic-order (WLO) sequence.
 
 The WLO sequence lists the serials 0..2^n-1 sorted first by Hamming weight
-and then by serial value.  Two independent generators are provided: a
-bucket pass driven by the weight table, and a Pascal-triangle-shaped
-recursion that builds row n from row n-1.  layer_serials streams one
-layer at a time without building either.
+and then by serial value.  It is built by the paper's doubling recurrence:
+layer k of row r is layer k of row r-1 followed by layer k-1 of row r-1
+with bit r-1 set.  wlo_bucket runs it on packed serials at C speed;
+wlo_recursive runs the same recurrence on Python lists and is the oracle
+the tests hold it to.  The checks independent of the recurrence are the
+sort definition in the tests, layer_serials (Gosper's hack, which streams
+one layer without building the sequence) and the OEIS A294648 b-file.
 
 Inside layer k the sequence ascends, which is the colex order of the
 k-subsets of the coordinates; the WLO scan in search.py relies on this to
 find its hit with one AND per layer and to count its probes by rank.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
 from typing import Iterator
 
-from .cube import cached_weight_table, check_dim
+from .cube import check_dim
+
+# wlo_bucket packs each serial as one native C unsigned int, which must be
+# 4 bytes wide for the byte arithmetic below
+if array("I").itemsize != 4:
+    raise ImportError(f"wlocube.wlo needs 4-byte unsigned ints, array('I') has {array('I').itemsize}")
+
+# _SET_BIT[j] is the bytes.translate table that sets bit j of a byte
+_SET_BIT = tuple(bytes(v | 1 << j for v in range(256)) for j in range(8))
+# bit b of a packed serial lies in byte (b >> 3) ^ _BYTE_XOR of its 4 bytes
+_BYTE_XOR = 0 if sys.byteorder == "little" else 3
 
 
 @dataclass(frozen=True)
@@ -33,32 +47,33 @@ class WloSequence:
     layer_offsets: list[int]
 
 
-def _layer_offsets(n: int) -> list[int]:
-    return list(accumulate((comb(n, k) for k in range(n + 1)), initial=0))
+def _with_bit(packed: bytes, b: int) -> bytearray:
+    """The packed serials with bit b set in each: one strided translate."""
+    out = bytearray(packed)
+    i = (b >> 3) ^ _BYTE_XOR
+    out[i::4] = out[i::4].translate(_SET_BIT[b & 7])
+    return out
 
 
 def wlo_bucket(n: int) -> WloSequence:
-    """Bucket generator: one pass over serials in lexicographic order.
+    """The WLO sequence l_n, built by the doubling recurrence on packed serials.
 
-    Appending serial i to bucket wt(i) keeps each bucket strictly
-    increasing, so the concatenation is the WLO sequence.  Buckets are
-    preallocated contiguous slices sized from the binomial table, making
-    the final concatenation free.
+    Each layer is a bytes object of 4-byte native unsigned ints.  Row r
+    appends to layer k a copy of layer k-1 of row r-1 with bit r-1 set, so
+    every layer stays ascending and no Python loop runs per serial.  One
+    tolist at the end creates the 2^n ints.  While it runs, the last row
+    and its joined copy, 2 x 4*2^n bytes, are held beside the list.
     """
     check_dim(n)
-    wt = cached_weight_table(n)
-    offsets = _layer_offsets(n)
-    cursor = offsets[:-1].copy()
-    order = [0] * (1 << n)
-    for i in range(1 << n):
-        k = wt[i]
-        order[cursor[k]] = i
-        cursor[k] += 1
-    return WloSequence(n, order, offsets)
+    layers = [bytes(4)]
+    for b in range(n):
+        layers = [low + _with_bit(high, b) for low, high in zip(layers + [b""], [b""] + layers)]
+    order = memoryview(b"".join(layers)).cast("I").tolist()
+    return WloSequence(n, order, list(accumulate((len(p) >> 2 for p in layers), initial=0)))
 
 
 def wlo_recursive(n: int) -> WloSequence:
-    """Recursive generator: row r built from row r-1.
+    """The list-level oracle of wlo_bucket: row r built from row r-1.
 
     Layer k of row r is layer k of row r-1 followed by layer k-1 of row
     r-1 with 2^(r-1) added to every element (prefixing a vector with 1):

@@ -11,8 +11,8 @@ import pytest
 from wlocube import TruthTable, wlo_bucket, wlo_search_max
 from wlocube import bench as bench_mod
 from wlocube import wlo as wlo_mod
-from wlocube.cli import main
-from wlocube.masks import word_count
+from wlocube.cli import _decimal, main
+from wlocube.masks import mask_paper_serial, masks_recursive, word_count
 from wlocube.subsets import SubsetUniverse, k_subsets, members_in_order, subsets_in_cardinality_order
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -201,6 +201,21 @@ def test_outputs_beyond_default_digit_limit(capsys):
     assert len(lines) == 15 and lines[-1] == "1"
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_decimal_rendering_matches_str():
+    # _decimal splits at 512 bits; the masks at n >= 10 are longer than that
+    values = [0, 1, (1 << 512) - 1, 1 << 512, (1 << 1025) - 1]
+    values += [mask_paper_serial(m) for n in range(1, 17) for m in masks_recursive(n).masks]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for v in values:
+            assert _decimal(v) == str(v)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_degree(capsys):
