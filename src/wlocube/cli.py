@@ -107,14 +107,23 @@ def _decimal(v: int) -> str:
         return str(join(v, v.bit_length()))
 
 
+# _BIT_GROUPS[v] is the 8-bit group of mask_bit_rows for a table byte v:
+# its bits, lowest first
+_BIT_GROUPS = tuple(format(v, "08b")[::-1] for v in range(256))
+
+
 def _cmd_masks(args) -> int:
     ms = masks_recursive(args.n)
     if args.paper_serials:
         for mask in ms.masks:
             print(_decimal(mask_paper_serial(mask)))
-    else:
+    elif args.n < 3:  # shorter than one 8-bit group
         for mask in ms.masks:
             print(mask_bit_rows(mask))
+    else:
+        # mask_bit_rows, streamed: one group per byte of the table
+        for mask in ms.masks:
+            _write_joined(sys.stdout, map(_BIT_GROUPS.__getitem__, mask.bits.to_bytes(1 << (args.n - 3), "little")), " ")
     return 0
 
 

@@ -3,11 +3,13 @@
 The WLO sequence lists the serials 0..2^n-1 sorted first by Hamming weight
 and then by serial value.  It is built by the paper's doubling recurrence:
 layer k of row r is layer k of row r-1 followed by layer k-1 of row r-1
-with bit r-1 set.  wlo_bucket runs it on packed serials at C speed;
-wlo_recursive runs the same recurrence on Python lists and is the oracle
-the tests hold it to.  The checks independent of the recurrence are the
-sort definition in the tests, layer_serials (Gosper's hack, which streams
-one layer without building the sequence) and the OEIS A294648 b-file.
+with bit r-1 set.  wlo_bucket runs it on packed serials at C speed and
+keeps them packed: `order` is an array('I'), 4 bytes a serial, not a list
+of 2^n Python ints.  wlo_recursive runs the same recurrence on Python
+lists and is the oracle the tests hold it to.  The checks independent of
+the recurrence are the sort definition in the tests, layer_serials
+(Gosper's hack, which streams one layer without building the sequence)
+and the OEIS A294648 b-file.
 
 Inside layer k the sequence ascends, which is the colex order of the
 k-subsets of the coordinates; the WLO scan in search.py relies on this to
@@ -17,7 +19,7 @@ find its hit with one AND per layer and to count its probes by rank.
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator
 
 from .cube import check_dim
@@ -37,13 +39,15 @@ _BYTE_XOR = 0 if sys.byteorder == "little" else 3
 class WloSequence:
     """The sequence l_n plus O(1) addressing of its layer subsequences.
 
-    layer_offsets[k] is the start of the weight-k slice in `order`;
-    layer_offsets[n+1] == 2^n.  The searches in search.py do not read
-    `order`: they take a WloSequence only to check its dimension.
+    `order` is an array('I') of the 2^n serials, 4 bytes each: 4 MiB at
+    n=20, where a list of ints would take 36 MiB.  layer_offsets[k] is
+    the start of the weight-k slice in `order`; layer_offsets[n+1] == 2^n.
+    The searches in search.py do not read `order`: they take a
+    WloSequence only to check its dimension.
     """
 
     n: int
-    order: list[int]
+    order: array
     layer_offsets: list[int]
 
 
@@ -60,15 +64,18 @@ def wlo_bucket(n: int) -> WloSequence:
 
     Each layer is a bytes object of 4-byte native unsigned ints.  Row r
     appends to layer k a copy of layer k-1 of row r-1 with bit r-1 set, so
-    every layer stays ascending and no Python loop runs per serial.  One
-    tolist at the end creates the 2^n ints.  While it runs, the last row
-    and its joined copy, 2 x 4*2^n bytes, are held beside the list.
+    every layer stays ascending and no Python loop runs per serial.  The
+    layers of the last row are appended to one array('I'), so `order`
+    holds 4*2^n bytes and no serial becomes a Python int.  The build's
+    peak is that array beside the last row: 2 x 4*2^n bytes.
     """
     check_dim(n)
     layers = [bytes(4)]
     for b in range(n):
         layers = [low + _with_bit(high, b) for low, high in zip(layers + [b""], [b""] + layers)]
-    order = memoryview(b"".join(layers)).cast("I").tolist()
+    order = array("I")
+    for layer in layers:
+        order.frombytes(layer)
     return WloSequence(n, order, list(accumulate((len(p) >> 2 for p in layers), initial=0)))
 
 
@@ -77,14 +84,15 @@ def wlo_recursive(n: int) -> WloSequence:
 
     Layer k of row r is layer k of row r-1 followed by layer k-1 of row
     r-1 with 2^(r-1) added to every element (prefixing a vector with 1):
-    the doubling of masks_recursive, on serial lists.
+    the doubling of masks_recursive, on serial lists.  `order` is
+    returned as the same array('I') as wlo_bucket's.
     """
     check_dim(n)
     layers = [[0], [1]]
     for r in range(2, n + 1):
         m = 1 << (r - 1)
         layers = [low + [s | m for s in high] for low, high in zip(layers + [[]], [[]] + layers)]
-    order = [s for layer in layers for s in layer]
+    order = array("I", chain.from_iterable(layers))
     return WloSequence(n, order, list(accumulate(map(len, layers), initial=0)))
 
 
@@ -110,7 +118,7 @@ def layer_serials(n: int, k: int) -> Iterator[int]:
 
 
 def layer_slice(seq: WloSequence, k: int) -> list[int]:
-    """The contiguous subsequence of weight-k serials, length C(n,k)."""
+    """The contiguous subsequence of weight-k serials, length C(n,k), as ints."""
     if not 0 <= k <= seq.n:
         raise ValueError(f"layer index {k} out of range for n={seq.n}")
-    return seq.order[seq.layer_offsets[k] : seq.layer_offsets[k + 1]]
+    return seq.order[seq.layer_offsets[k] : seq.layer_offsets[k + 1]].tolist()

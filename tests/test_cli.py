@@ -12,7 +12,7 @@ from wlocube import TruthTable, wlo_bucket, wlo_search_max
 from wlocube import bench as bench_mod
 from wlocube import wlo as wlo_mod
 from wlocube.cli import _decimal, main
-from wlocube.masks import mask_paper_serial, masks_recursive, word_count
+from wlocube.masks import mask_bit_rows, mask_paper_serial, masks_recursive, word_count
 from wlocube.subsets import SubsetUniverse, k_subsets, members_in_order, subsets_in_cardinality_order
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,6 +185,14 @@ def test_masks_outputs(capsys):
     code, out, _ = run(capsys, "masks", "--n", "4")
     rows = out.strip().splitlines()
     assert rows[2] == "00010110 01101000"  # the weight-2 mask, coordinate 0 first
+
+
+def test_masks_bit_rows_stream_as_mask_bit_rows(capsys):
+    # n = 1 and 2 are shorter than one 8-bit group
+    for n in range(1, 10):
+        code, out, err = run(capsys, "masks", "--n", str(n))
+        assert (code, err) == (0, "")
+        assert out == "".join(mask_bit_rows(m) + "\n" for m in masks_recursive(n).masks)
 
 
 def test_outputs_beyond_default_digit_limit(capsys):

@@ -114,7 +114,7 @@ def test_cardinality_order_matches_wlo():
     for n in range(1, 12):
         u = SubsetUniverse(tuple(f"e{i}" for i in range(n)))
         serials = [h.serial for h in subsets_in_cardinality_order(u)]
-        assert serials == wlo_bucket(n).order
+        assert serials == wlo_bucket(n).order.tolist()
         sizes = [len(unrank(u, s)) for s in serials]
         assert sizes == sorted(sizes)
         assert len(set(serials)) == 1 << n
