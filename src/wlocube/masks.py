@@ -117,10 +117,10 @@ class MaskSet:
     """All n+1 layer masks, masks[k] for layer k; pairwise disjoint, union all-ones.
 
     above[k] is the union of masks k..n, as an int, for k in [0, n+1], with
-    above[n+1] = 0: the table of wt(alpha) >= k.  The heavy-end search
-    bisects over these unions.  They are built on first use, not with the
-    masks, and hold n+1 ints of up to 2^n bits beside them: about 2.6 MiB at
-    n=20 and 11 MiB at n=22.
+    above[n+1] = 0: the table of wt(alpha) >= k.  The searches from both
+    ends bisect over these unions.  They are built on first use, not with
+    the masks, and hold n+1 ints of up to 2^n bits beside them: about
+    2.6 MiB at n=20 and 11 MiB at n=22.
     """
 
     n: int

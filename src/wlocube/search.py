@@ -11,17 +11,17 @@ layout; mobius_transform maps a truth table to that vector in n steps
 read from a step table cached per n.
 
 Every search runs one kernel (_first_layer): it finds the first layer k
-from one end whose mask meets the table, and returns their AND.  The
-light end ANDs the table against the masks from layer 0 up and stops at
-the first nonzero AND.  The heavy end bisects the unions of the masks
-(MaskSet.above) from the weight of the table's top set bit, so it spends
-at most ceil(log2 n) + 1 ANDs where the paper's loop spends one per
-layer from n down.  The paper's WLO scan stops at the first support
-vector along l_n; inside a layer l_n ascends, so that vector is the
-highest set bit of the AND from the heavy end and the lowest from the
-light end.  SearchStats.probes is still the number of serials the
-paper's scan probes: the hit's position in l_n, which is the layers
-below it plus its colex rank inside its layer, or 2^n on a miss.
+from one end whose mask meets the table, and returns their AND.  Both
+ends bisect the unions of the masks (MaskSet.above) from the weight of
+the table's top set bit, a free bound on either extreme.  The heavy end
+spends at most ceil(log2 n) + 1 ANDs, the light end at most 2 more, for
+layers 0 and 1 first; a walk over the layers spends up to n + 1.  The
+paper's WLO scan stops at the first support vector along l_n; inside a
+layer l_n ascends, so that vector is the highest set bit of the AND from
+the heavy end and the lowest from the light end.  SearchStats.probes is
+still the number of serials the paper's scan probes: the hit's position
+in l_n, which is the layers below it plus its colex rank inside its
+layer, or 2^n on a miss.
 
 The bitwise route returns only the weight; layer_support then reads the
 witnesses out of that layer's AND.  It costs at most 16 passes over the
@@ -99,23 +99,30 @@ def _first_layer(bits: int, ms: MaskSet, heavy: bool) -> int:
     The heavy end finds the greatest such k, the light end the least.  0
     when every AND is zero.  Every set bit of the result has weight k.
 
-    The heavy end bisects the unions ms.above: k is the greatest layer
-    with bits & above[k] nonzero, and that AND is bits & mask k, since
-    every layer above k misses.  The weight of the table's top set bit
-    bounds k from below for free, and it is n iff the top row is set,
-    which dense tables hit half the time at no AND.  So the heavy end
-    costs at most ceil(log2 n) + 1 ANDs, where a walk down the layers
-    spent one per empty layer.  The light end walks the masks from layer 0
-    up: dense and low-degree tables stop at once, and no bound comes free
-    at that end, since the lowest set bit costs a two's-complement pass
-    over the table.
+    Both ends bisect the unions ms.above from the weight of the table's
+    top set bit, a bound that comes free.  At the heavy end it bounds k
+    from below and is n iff the top row is set, which dense tables hit
+    half the time at no AND; k is the greatest layer with bits & above[k]
+    nonzero, and that AND is bits & mask k, since every layer above k
+    misses.  At the light end it bounds k from above; after one AND each
+    for layers 0 and 1, where dense and low-degree tables stop, k is the
+    least layer with bits & above[k + 1] != bits.  So the heavy end costs
+    at most ceil(log2 n) + 1 ANDs and the light end at most
+    2 + ceil(log2(n - 1)) + 1, where a walk over the layers spent n + 1.
     """
     if not heavy:
-        for mask in ms.masks:
-            x = bits & mask.bits
-            if x:
-                return x
-        return 0
+        masks = ms.masks
+        x = bits & masks[0].bits or bits & masks[1].bits
+        if x or not bits:
+            return x
+        k, hi, above = 2, (bits.bit_length() - 1).bit_count(), ms.above
+        while k < hi:
+            mid = (k + hi) >> 1
+            if bits & above[mid + 1] != bits:
+                hi = mid
+            else:
+                k = mid + 1
+        return bits & masks[k].bits
     if not bits:
         return 0
     k, hi, x = (bits.bit_length() - 1).bit_count(), ms.n - 1, 0

@@ -65,18 +65,21 @@ def wlo_bucket(n: int) -> WloSequence:
     Each layer is a bytes object of 4-byte native unsigned ints.  Row r
     appends to layer k a copy of layer k-1 of row r-1 with bit r-1 set, so
     every layer stays ascending and no Python loop runs per serial.  The
-    layers of the last row are appended to one array('I'), so `order`
-    holds 4*2^n bytes and no serial becomes a Python int.  The build's
-    peak is that array beside the last row: 2 x 4*2^n bytes.
+    layers of the last row are copied into one array('I') allocated at
+    its exact size (frombytes would over-allocate by up to 1/16), so
+    `order` holds 4*2^n bytes and no serial becomes a Python int.  The
+    build's peak is that array beside the last row: 2 x 4*2^n bytes.
     """
     check_dim(n)
     layers = [bytes(4)]
     for b in range(n):
         layers = [low + _with_bit(high, b) for low, high in zip(layers + [b""], [b""] + layers)]
-    order = array("I")
-    for layer in layers:
-        order.frombytes(layer)
-    return WloSequence(n, order, list(accumulate((len(p) >> 2 for p in layers), initial=0)))
+    order = array("I", bytes(4)) * (1 << n)
+    offsets = list(accumulate(map(len, layers), initial=0))
+    with memoryview(order).cast("B") as view:
+        for layer, start in zip(layers, offsets):
+            view[start : start + len(layer)] = layer
+    return WloSequence(n, order, [start >> 2 for start in offsets])
 
 
 def wlo_recursive(n: int) -> WloSequence:

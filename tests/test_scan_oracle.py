@@ -3,8 +3,9 @@
 wlo_search_max/_min find the first nonempty layer of the table and
 derive the probe count from the hit's colex rank; the oracle here probes
 one serial of seq.order at a time and counts every probe, as the paper's
-scan does.  The heavy end bisects the unions MaskSet.above; its oracle
-is the paper's bitwise loop, one AND per layer from n down.
+scan does.  Both ends bisect the unions MaskSet.above; the heavy end's
+oracle is the paper's bitwise loop, one AND per layer from n down, and
+the light end's is the same loop from layer 0 up.
 layer_support peels up to a budget of set bits and byte-scans the rest;
 its oracle tests every serial of the layer.
 """
@@ -15,6 +16,7 @@ import random
 import sys
 import threading
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -286,6 +288,102 @@ def test_heavy_end_ands_per_single_bit(n):
         for s in (lowest, lowest << (n - w), *(sum(1 << b for b in rng.sample(range(n), w)) for _ in range(2))):
             tt = TruthTable(n, CountingInt(1 << s))
             for search in (lambda: bitwise_search_max(tt, ms), lambda: algebraic_degree(tt, ms), lambda: wlo_search_max(tt).weight):
+                CountingInt.ands = 0
+                assert search() == w
+                spent.append(CountingInt.ands)
+                assert CountingInt.ands <= budget, (n, s, CountingInt.ands)
+    assert max(spent) > 0  # the counter sees the kernel's ANDs
+
+
+def bottom_up_scan(tt, ms):
+    """The bitwise loop from the light end: the first layer from 0 up that meets the table."""
+    return next((k for k in range(tt.n + 1) if tt.bits & ms[k].bits), None)
+
+
+def check_light_end(tt, ms):
+    """The light-end searches against bottom_up_scan; returns its layer."""
+    k = bottom_up_scan(tt, ms)
+    assert _first_layer(tt.bits, ms, False) == (0 if k is None else tt.bits & ms[k].bits)
+    stats = SearchStats()
+    hit = wlo_search_min(tt, None, stats)
+    assert (hit, stats.probes) == literal_scan(tt.bits, wlo(tt.n).order)
+    assert (hit and hit.weight) == k
+    return k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_light_end_every_function(n):
+    for ms in mask_sets(n):
+        for bits in range(1 << (1 << n)):
+            check_light_end(TruthTable(n, bits), ms)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_light_end_every_single_bit(n):
+    for s in range(1 << n):
+        assert check_light_end(TruthTable(n, 1 << s), masks_recursive(n)) == s.bit_count()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_light_end_every_pair_of_bits(n):
+    # two weights below the bound, where the bisection must keep the lighter
+    for s, t in combinations(range(1 << n), 2):
+        check_light_end(TruthTable(n, 1 << s | 1 << t), masks_recursive(n))
+
+
+@st.composite
+def tables_lightest_at_top(draw):
+    """A table whose top set bit is also its lightest, other bits at random below it."""
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(0, (1 << n) - 1))
+    heavy = masks_recursive(n).above[t.bit_count()]
+    return TruthTable(n, 1 << t | draw(st.integers(0, (1 << t) - 1)) & heavy)
+
+
+@st.composite
+def tables_lighter_below(draw):
+    """A table whose top set bit t is heavier than a set bit h < t below it.
+
+    t is h with more bits set, so t > h and wt(t) > wt(h) >= 2; the other
+    bits lie below t and have weight >= 2, so the light end gets past
+    layers 0 and 1 and bisects.
+    """
+    n = draw(st.integers(3, 12))
+    h = draw(st.integers(0, (1 << n) - 1).filter(lambda v: 2 <= v.bit_count() < n))
+    free = [b for b in range(n) if not h >> b & 1]
+    extra = draw(st.lists(st.sampled_from(free), min_size=1, unique=True))
+    t = h | sum(1 << b for b in extra)
+    noise = draw(st.integers(0, (1 << t) - 1)) & masks_recursive(n).above[2] if draw(st.booleans()) else 0
+    return TruthTable(n, 1 << t | 1 << h | noise)
+
+
+@given(tables_lightest_at_top())
+def test_light_end_bound_is_the_answer(tt):
+    top = (tt.bits.bit_length() - 1).bit_count()
+    assert check_light_end(tt, masks_recursive(tt.n)) == top
+
+
+@given(tables_lighter_below())
+def test_light_end_bound_above_the_answer(tt):
+    top = (tt.bits.bit_length() - 1).bit_count()
+    assert 2 <= check_light_end(tt, masks_recursive(tt.n)) < top
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_light_end_ands_per_single_bit(n):
+    # at most ceil(log2(n - 1)) + 3 ANDs for one bit of any weight: one each
+    # for layers 0 and 1, the bisection over [2, n] ceil(log2(n - 1)), and
+    # the final AND one; the walk up the layers took n + 1 for a bit of
+    # weight n
+    budget = (n - 2).bit_length() + 3
+    ms = masks_recursive(n)
+    rng = random.Random(n)
+    spent = []
+    for w in range(n + 1):
+        lowest = (1 << w) - 1
+        for s in (lowest, lowest << (n - w), *(sum(1 << b for b in rng.sample(range(n), w)) for _ in range(2))):
+            tt = TruthTable(n, CountingInt(1 << s))
+            for search in (lambda: (_first_layer(tt.bits, ms, False).bit_length() - 1).bit_count(), lambda: wlo_search_min(tt).weight):
                 CountingInt.ands = 0
                 assert search() == w
                 spent.append(CountingInt.ands)

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -41,12 +43,13 @@ def test_generators_agree_and_match_oracle():
 
 
 def test_bucket_memory_is_four_bytes_a_serial():
-    # order is one array('I'): 4*2^n bytes retained, and at the peak the
-    # packed layers of the last row beside it.  The slack is the array's
-    # growth over-allocation plus the small objects: measured at 6.8 KB
-    # retained and 7.8 KB over 2 x 4*2^16 at the peak (CPython 3.11,
-    # x86-64).  A list of the 2^16 ints alone would be about 2.4 MB.
-    n, slack = 16, 16 << 10
+    # order is one array('I') allocated at its exact size: 4*2^n bytes
+    # past the empty array's, with no growth over-allocation.  At the peak
+    # the packed layers of the last row lie beside it.  The slack is the
+    # small objects: measured at 1.1 KB retained and 2.9 KB over
+    # 2 x 4*2^16 at the peak (CPython 3.11, x86-64).  A list of the 2^16
+    # ints alone would be about 2.4 MB.
+    n, slack = 16, 8 << 10
     tracemalloc.start()
     try:
         seq = wlo_bucket(n)
@@ -54,6 +57,7 @@ def test_bucket_memory_is_four_bytes_a_serial():
     finally:
         tracemalloc.stop()
     assert len(seq.order) == 1 << n
+    assert sys.getsizeof(seq.order) == sys.getsizeof(array("I")) + (4 << n)
     assert retained <= (4 << n) + slack
     assert peak <= 2 * (4 << n) + slack
 
