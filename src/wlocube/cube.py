@@ -35,7 +35,9 @@ def build_weight_table(n: int) -> list[int]:
     return list(cached_weight_table(n))
 
 
-# bytes.translate table that adds 1 to every byte value
+# weights of the 256 serials of one byte, and the bytes.translate table
+# that adds 1 to every byte value
+_BYTE_WEIGHTS = bytes(i.bit_count() for i in range(256))
 _PLUS_ONE = bytes(range(1, 256)) + bytes(1)
 
 
@@ -43,15 +45,17 @@ _PLUS_ONE = bytes(range(1, 256)) + bytes(1)
 def cached_weight_table(n: int) -> bytes:
     """Immutable weight table, one byte per serial; cached per n.
 
-    Built by the doubling recurrence: the second half of the table is the
-    first half with 1 added elementwise (the lower-half vectors are the
-    upper-half vectors prefixed by 1).
+    Serial s = h*256 + l has weight wt(h) + wt(l), so past n = 8 the table
+    is 2^(n-8) blocks of 256 bytes, block h being the byte weights plus
+    wt(h), joined in one allocation of 2^n bytes.
     """
     check_dim(n)
-    table = bytes([0, 1])
-    for _ in range(n - 1):
-        table += table.translate(_PLUS_ONE)
-    return table
+    if n <= 8:
+        return _BYTE_WEIGHTS[: 1 << n]
+    blocks = [_BYTE_WEIGHTS]
+    for _ in range(n - 8):
+        blocks.append(blocks[-1].translate(_PLUS_ONE))
+    return b"".join(map(blocks.__getitem__, cached_weight_table(n - 8)))
 
 
 def hamming_distance(a: int, b: int, n: int) -> int:

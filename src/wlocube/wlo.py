@@ -5,11 +5,11 @@ and then by serial value.  It is built by the paper's doubling recurrence:
 layer k of row r is layer k of row r-1 followed by layer k-1 of row r-1
 with bit r-1 set.  wlo_bucket runs it on packed serials at C speed and
 keeps them packed: `order` is an array('I'), 4 bytes a serial, not a list
-of 2^n Python ints.  wlo_recursive runs the same recurrence on Python
-lists and is the oracle the tests hold it to.  The checks independent of
-the recurrence are the sort definition in the tests, layer_serials
-(Gosper's hack, which streams one layer without building the sequence)
-and the OEIS A294648 b-file.
+of 2^n Python ints, and the last row is written straight into it.
+wlo_recursive runs the same recurrence on Python lists and is the oracle
+the tests hold it to.  The checks independent of the recurrence are the
+sort definition in the tests, layer_serials (Gosper's hack, which streams
+one layer without building the sequence) and the OEIS A294648 b-file.
 
 Inside layer k the sequence ascends, which is the colex order of the
 k-subsets of the coordinates; the WLO scan in search.py relies on this to
@@ -65,21 +65,27 @@ def wlo_bucket(n: int) -> WloSequence:
     Each layer is a bytes object of 4-byte native unsigned ints.  Row r
     appends to layer k a copy of layer k-1 of row r-1 with bit r-1 set, so
     every layer stays ascending and no Python loop runs per serial.  The
-    layers of the last row are copied into one array('I') allocated at
-    its exact size (frombytes would over-allocate by up to 1/16), so
-    `order` holds 4*2^n bytes and no serial becomes a Python int.  The
-    build's peak is that array beside the last row: 2 x 4*2^n bytes.
+    last row is never built as layers: each of its layers is written
+    straight into one array('I') allocated at its exact size (frombytes
+    would over-allocate by up to 1/16), so `order` holds 4*2^n bytes and
+    no serial becomes a Python int.  The build's peak is that array beside
+    row n-1 (half its size) and one translated layer: about 1.65 x 4*2^n
+    bytes.
     """
     check_dim(n)
     layers = [bytes(4)]
-    for b in range(n):
+    for b in range(n - 1):
         layers = [low + _with_bit(high, b) for low, high in zip(layers + [b""], [b""] + layers)]
     order = array("I", bytes(4)) * (1 << n)
-    offsets = list(accumulate(map(len, layers), initial=0))
+    offsets, pos = [0], 0
     with memoryview(order).cast("B") as view:
-        for layer, start in zip(layers, offsets):
-            view[start : start + len(layer)] = layer
-    return WloSequence(n, order, [start >> 2 for start in offsets])
+        for low, high in zip(layers + [b""], [b""] + layers):
+            view[pos : pos + len(low)] = low
+            pos += len(low)
+            view[pos : pos + len(high)] = _with_bit(high, n - 1)
+            pos += len(high)
+            offsets.append(pos >> 2)
+    return WloSequence(n, order, offsets)
 
 
 def wlo_recursive(n: int) -> WloSequence:

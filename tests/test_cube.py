@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wlocube import adjacent_split, build_weight_table, hamming_distance, precedes, weight_of
+from wlocube.cube import MAX_DIM, cached_weight_table
 
 
 def test_weight_of_examples():
@@ -38,9 +39,29 @@ def test_weight_table_halves():
 
 
 def test_weight_table_matches_popcount():
-    for n in range(1, 15):
-        table = build_weight_table(n)
-        assert all(table[i] == i.bit_count() for i in range(1 << n))
+    # past n = 8 the table is joined from 256-byte blocks, and past n = 16
+    # the blocks are indexed by a table that is itself joined
+    for n in range(1, 21):
+        assert cached_weight_table(n) == bytes(i.bit_count() for i in range(1 << n))
+
+
+def test_cached_weight_table_prefixes():
+    # the first 2^m serials of the n-cube are the m-cube's
+    for n in range(2, 21):
+        table = cached_weight_table(n)
+        for m in range(1, n):
+            assert table[: 1 << m] == cached_weight_table(m)
+
+
+def test_cached_weight_table_type_and_length():
+    for n in range(1, 23):
+        table = cached_weight_table(n)
+        assert type(table) is bytes and len(table) == 1 << n
+        assert table[-1] == n and table[-2] == n - 1
+    with pytest.raises(ValueError):
+        cached_weight_table(0)
+    with pytest.raises(ValueError):
+        cached_weight_table(MAX_DIM + 1)
 
 
 def test_hamming_distance_examples():

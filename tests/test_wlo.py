@@ -44,11 +44,12 @@ def test_generators_agree_and_match_oracle():
 
 def test_bucket_memory_is_four_bytes_a_serial():
     # order is one array('I') allocated at its exact size: 4*2^n bytes
-    # past the empty array's, with no growth over-allocation.  At the peak
-    # the packed layers of the last row lie beside it.  The slack is the
-    # small objects: measured at 1.1 KB retained and 2.9 KB over
-    # 2 x 4*2^16 at the peak (CPython 3.11, x86-64).  A list of the 2^16
-    # ints alone would be about 2.4 MB.
+    # past the empty array's, with no growth over-allocation.  The last row
+    # is written straight into it, so at the peak only the packed row
+    # before it (half its size) and one translated layer lie beside it:
+    # measured 1.655 x 4*2^16 bytes, 1.0 KB retained over 4*2^16
+    # (CPython 3.11, x86-64).  The slack is the small objects.  A list of
+    # the 2^16 ints alone would be about 2.4 MB.
     n, slack = 16, 8 << 10
     tracemalloc.start()
     try:
@@ -59,7 +60,7 @@ def test_bucket_memory_is_four_bytes_a_serial():
     assert len(seq.order) == 1 << n
     assert sys.getsizeof(seq.order) == sys.getsizeof(array("I")) + (4 << n)
     assert retained <= (4 << n) + slack
-    assert peak <= 2 * (4 << n) + slack
+    assert peak <= 1.75 * (4 << n) + slack
 
 
 def test_layer_slices():
