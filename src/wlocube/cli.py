@@ -12,20 +12,27 @@ from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from itertools import chain, islice
 from math import comb
 from pathlib import Path
+from typing import Iterator
 
 from . import bench as bench_mod
 from . import fixtures as fixtures_mod
 from .counts import SEQUENCES
 from .cube import MAX_DIM
-from .masks import TruthTable, mask_bit_rows, mask_paper_serial, masks_recursive, word_count
+from .masks import TruthTable, mask_bit_groups, mask_paper_serial, masks_recursive, word_count
 from .search import algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
 from .subsets import SubsetHandle, SubsetUniverse, members_in_order, rank
 from .wlo import layer_serials
 
 # wlo refuses a request for more serials, and subsets --all/--k for more
-# subsets: 2^24 serials are 140 MB of text and several seconds, 2^30 would
-# be 10 GB and minutes
+# subsets: 2^24 serials are 140 MB of text and 3 to 7 s on a 2-vCPU x86-64
+# machine, 2^30 would be 10 GB and minutes
 MAX_WLO_SERIALS = 1 << 24
+
+# masks refuses a larger --n, per form, near wlo's time bound: on that
+# machine --n 24 writes 25 bit rows, 472 MB, in about 5.5 s, and --n 21
+# --paper-serials 13 MB of decimals in about 5 s; each 1 added to n costs 2-2.6x
+MAX_MASKS_ROWS_N = 24
+MAX_MASKS_SERIALS_N = 21
 
 
 def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
@@ -55,34 +62,54 @@ def _write_joined(out, items, sep: str) -> None:
     out.write("\n")
 
 
+def _layer_stream(n: int, k: int | None, asked: str, noun: str) -> Iterator[int]:
+    """Layer k of l_n, or all of l_n if k is None, streamed: the serials of
+    wlo and subsets --all/--k.  asked names the request in the refusals."""
+    if k is None:
+        layers, count = range(n + 1), 1 << n
+    elif 0 <= k <= n:
+        layers, count = (k,), comb(n, k)
+    else:
+        raise ValueError(f"{asked} asks for layer k={k}; the layers are [0, {n}]")
+    if count > MAX_WLO_SERIALS:
+        raise ValueError(f"{asked} asks for {count} {noun}; at most {MAX_WLO_SERIALS} are printed")
+    return chain.from_iterable(layer_serials(n, j) for j in layers)
+
+
 def _cmd_wlo(args) -> int:
     n = args.n
-    if args.layer is None:
-        layers, count, asked = range(n + 1), 1 << n, f"--n {n}"
-    elif 0 <= args.layer <= n:
-        layers, count, asked = (args.layer,), comb(n, args.layer), f"--n {n} --layer {args.layer}"
-    else:
-        raise ValueError(f"--layer must be in [0, {n}] at --n {n}, got {args.layer}")
-    if count > MAX_WLO_SERIALS:
-        raise ValueError(f"{asked} asks for {count} serials; wlo prints at most {MAX_WLO_SERIALS}")
-    serials = chain.from_iterable(layer_serials(n, k) for k in layers)
+    asked = f"--n {n}" if args.layer is None else f"--n {n} --layer {args.layer}"
+    serials = _layer_stream(n, args.layer, asked, "serials")
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
         _write_joined(out, map(str, serials), "\n" if args.out else " ")
     return 0
 
 
-# below 2^512 a value is rendered by Decimal(v), which calls str() on it
-_DECIMAL_LEAF_BITS = 512
+# Below 2^_SPLIT_BITS, 8429 digits, one division by 10^_HALF_DIGITS leaves
+# two parts under the 4300 digits that Python 3.11+ and 3.10.7+ convert by
+# default.  Longer ints are split down to leaves of _DECIMAL_LEAF_BITS, 617
+# digits, under the 640 always allowed
+_SPLIT_BITS = 28000
+_HALF_DIGITS = 4200
+_DECIMAL_LEAF_BITS = 2048
+_HALF = 10**_HALF_DIGITS
 
 
 def _decimal(v: int) -> str:
-    """str(v) for an int v >= 0, in subquadratic time.
+    """str(v) for any int v, in subquadratic time and under any digit limit.
 
-    str() of an int takes time quadratic in its length before Python 3.12.
-    This splits v in halves on powers of 2 and joins the halves back in a
-    Decimal, whose products of long operands are subquadratic: the method
-    of CPython 3.12's _pylong module.
+    str() of an int is quadratic in its length before Python 3.12.  Past
+    _SPLIT_BITS, v is split in halves on powers of 2, joined back in a
+    Decimal, whose long products are subquadratic: CPython 3.12's _pylong.
     """
+    if v < 0:
+        return "-" + _decimal(-v)
+    if v.bit_length() <= _SPLIT_BITS:
+        try:
+            high, low = divmod(v, _HALF)
+            return f"{high}{low:0{_HALF_DIGITS}}" if high else str(low)
+        except ValueError:  # a digit limit set below the default
+            pass
     powers = {}
 
     def pow2(w: int) -> Decimal:
@@ -93,7 +120,7 @@ def _decimal(v: int) -> str:
         return p
 
     def join(x: int, w: int) -> Decimal:
-        # x < 2^w
+        # 0 <= x < 2^w
         if w <= _DECIMAL_LEAF_BITS:
             return Decimal(x)
         h = w >> 1
@@ -107,23 +134,19 @@ def _decimal(v: int) -> str:
         return str(join(v, v.bit_length()))
 
 
-# _BIT_GROUPS[v] is the 8-bit group of mask_bit_rows for a table byte v:
-# its bits, lowest first
-_BIT_GROUPS = tuple(format(v, "08b")[::-1] for v in range(256))
-
-
 def _cmd_masks(args) -> int:
-    ms = masks_recursive(args.n)
+    n = args.n
     if args.paper_serials:
-        for mask in ms.masks:
-            print(_decimal(mask_paper_serial(mask)))
-    elif args.n < 3:  # shorter than one 8-bit group
-        for mask in ms.masks:
-            print(mask_bit_rows(mask))
+        asked, form, bound = f"--n {n} --paper-serials", "serials", MAX_MASKS_SERIALS_N
     else:
-        # mask_bit_rows, streamed: one group per byte of the table
-        for mask in ms.masks:
-            _write_joined(sys.stdout, map(_BIT_GROUPS.__getitem__, mask.bits.to_bytes(1 << (args.n - 3), "little")), " ")
+        asked, form, bound = f"--n {n}", "bit rows", MAX_MASKS_ROWS_N
+    if n > bound:
+        raise ValueError(f"{asked} asks for {n + 1} {form} of {1 << n} bits; masks prints {form} of at most {1 << bound} bits (--n {bound})")
+    for mask in masks_recursive(n).masks:
+        if args.paper_serials:
+            print(_decimal(mask_paper_serial(mask)))
+        else:
+            _write_joined(sys.stdout, mask_bit_groups(mask), " ")
     return 0
 
 
@@ -152,8 +175,8 @@ def _cmd_enumerate(args) -> int:
         if args.oracle and n <= seq.oracle_max_n:
             check = seq.oracle(n)
             if check != value:
-                raise ValueError(f"oracle disagrees at n={n}: closed form {value}, oracle {check}")
-        print(f"{n} {value}")
+                raise ValueError(f"oracle disagrees at n={n}: closed form {_decimal(value)}, oracle {_decimal(check)}")
+        print(n, _decimal(value))
     return 0
 
 
@@ -170,20 +193,12 @@ def _cmd_subsets(args) -> int:
     universe = SubsetUniverse(tuple(args.universe.split(",")))
     size = universe.n
     if args.all or args.k is not None:
-        if args.all:
-            layers, count, asked = range(size + 1), 1 << size, "--all"
-        else:
-            # comb is 0 for k > size; layer_serials then names the range of k
-            layers, count, asked = (args.k,), comb(size, max(args.k, 0)), f"--k {args.k}"
-        if count > MAX_WLO_SERIALS:
-            raise ValueError(
-                f"{asked} of a --universe of {size} labels asks for {count} subsets; subsets prints at most {MAX_WLO_SERIALS}"
-            )
+        asked = "--all" if args.all else f"--k {args.k}"
+        serials = _layer_stream(size, args.k, f"{asked} of a --universe of {size} labels", "subsets")
         # each line is two table lookups, one per half of the serial
         low = size >> 1
         high, rest = _label_lists(universe.elements[: size - low]), _label_lists(universe.elements[size - low :])
         mask = (1 << low) - 1
-        serials = chain.from_iterable(layer_serials(size, k) for k in layers)
         _write_joined(sys.stdout, ((high[s >> low] + rest[s & mask])[:-1] for s in serials), "\n")
     elif args.rank is not None:
         members = [m for m in args.rank.split(",") if m]
@@ -220,15 +235,13 @@ def _cmd_fixtures(args) -> int:
     if not results:
         print(f"no known fixture files found in {args.dir}", file=sys.stderr)
         return 1
-    failed = False
     for name, mismatches in results.items():
         if mismatches:
-            failed = True
             idx, want, got = mismatches[0]
-            print(f"{name}: FAIL at index {idx} (expected {want}, got {got})")
+            print(f"{name}: FAIL at index {idx} (expected {_decimal(want)}, got {_decimal(got)})")
         else:
             print(f"{name}: pass")
-    return 1 if failed else 0
+    return 1 if any(results.values()) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Counts and mask serials run to tens of thousands of digits. Python
-    # 3.11+ and 3.10.7+ cap int-to-text conversion at 4300 digits unless
-    # lifted; earlier releases have no cap and no setter.
-    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         # every command that takes --n checks it here, before it writes anything
         if hasattr(args, "n") and not 1 <= args.n <= MAX_DIM:
@@ -312,9 +319,6 @@ def main(argv=None) -> int:
         at = f" at --n {args.n}" if hasattr(args, "n") else ""
         print(f"error: ran out of memory{at}", file=sys.stderr)
         return 1
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

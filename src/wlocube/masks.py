@@ -11,7 +11,7 @@ with mask_paper_serial.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cube import MAX_DIM, check_dim, check_serial
 from .wlo import WloSequence, layer_slice
@@ -179,7 +179,17 @@ def mask_paper_serial(mask: TruthTable) -> int:
     return int(mask.to_bitstring(), 2)
 
 
+# the 8-bit group of each table byte: its bits, lowest first
+_BIT_GROUPS = tuple(format(v, "08b")[::-1] for v in range(256))
+
+
+def mask_bit_groups(mask: TruthTable) -> Iterator[str]:
+    """The 8-bit groups of mask_bit_rows, streamed: one lookup per byte."""
+    if mask.n < 3:  # shorter than one group
+        return iter((mask.to_bitstring(),))
+    return map(_BIT_GROUPS.__getitem__, mask.bits.to_bytes(1 << (mask.n - 3), "little"))
+
+
 def mask_bit_rows(mask: TruthTable) -> str:
     """Render as a 0/1 string, coordinate 0 first, grouped in 8-bit blocks."""
-    bits = mask.to_bitstring()
-    return " ".join(bits[i : i + 8] for i in range(0, len(bits), 8))
+    return " ".join(mask_bit_groups(mask))

@@ -68,23 +68,27 @@ def wlo_bucket(n: int) -> WloSequence:
     last row is never built as layers: each of its layers is written
     straight into one array('I') allocated at its exact size (frombytes
     would over-allocate by up to 1/16), so `order` holds 4*2^n bytes and
-    no serial becomes a Python int.  The build's peak is that array beside
-    row n-1 (half its size) and one translated layer: about 1.65 x 4*2^n
-    bytes.
+    no serial becomes a Python int.  Each layer of row n-1 is freed after
+    its last read, so the build's peak is that array's allocation beside
+    the whole of row n-1 (half its size): about 1.53 x 4*2^n bytes.
     """
     check_dim(n)
     layers = [bytes(4)]
     for b in range(n - 1):
         layers = [low + _with_bit(high, b) for low, high in zip(layers + [b""], [b""] + layers)]
     order = array("I", bytes(4)) * (1 << n)
-    offsets, pos = [0], 0
+    offsets, pos, high = [0], 0, b""
+    layers.append(b"")
     with memoryview(order).cast("B") as view:
-        for low, high in zip(layers + [b""], [b""] + layers):
+        for k in range(n + 1):
+            # layer k of row n-1 is read here and for layer k+1, then freed
+            low, layers[k] = layers[k], None
             view[pos : pos + len(low)] = low
             pos += len(low)
             view[pos : pos + len(high)] = _with_bit(high, n - 1)
             pos += len(high)
             offsets.append(pos >> 2)
+            high = low
     return WloSequence(n, order, offsets)
 
 

@@ -4,14 +4,18 @@ import resource
 import shutil
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from wlocube import TruthTable, wlo_bucket, wlo_search_max
 from wlocube import bench as bench_mod
+from wlocube import cli as cli_mod
 from wlocube import wlo as wlo_mod
 from wlocube.cli import _decimal, main
+from wlocube.counts import SEQUENCES
+from wlocube.fixtures import _parse_int as parse_int
 from wlocube.masks import mask_bit_rows, mask_paper_serial, masks_recursive, word_count
 from wlocube.subsets import SubsetUniverse, k_subsets, members_in_order, subsets_in_cardinality_order
 
@@ -99,12 +103,16 @@ def test_wlo_layer_streams_at_n30():
     assert proc.stdout == " ".join(str(1 << i) for i in range(30)) + "\n"
 
 
-def test_out_of_memory_is_one_error_line():
-    # the n=30 masks would hold 31 x 128 MiB
-    proc = run_limited("masks", "--n", "30", "--paper-serials")
+def test_out_of_memory_is_one_error_line(tmp_path):
+    # the n=30 masks that degree builds would hold 31 x 128 MiB; the table
+    # is a sparse file of 2^27 zero bytes
+    anf = tmp_path / "zero.bin"
+    with open(anf, "wb") as f:
+        f.truncate(1 << 27)
+    proc = run_limited("degree", "--n", "30", "--anf", str(anf))
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error:") and "--n 30" in proc.stderr
+    assert proc.stderr == "error: ran out of memory at --n 30\n"
 
 
 def test_search_from_raw_file(capsys, tmp_path):
@@ -195,35 +203,65 @@ def test_masks_bit_rows_stream_as_mask_bit_rows(capsys):
         assert out == "".join(mask_bit_rows(m) + "\n" for m in masks_recursive(n).masks)
 
 
-def test_outputs_beyond_default_digit_limit(capsys):
+@contextmanager
+def digit_limit(limit):
+    """Set the int-to-text digit limit inside the block, on a Python that has
+    one (3.11+, 3.10.7+); 0 lifts it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    setter, old = sys.set_int_max_str_digits, sys.get_int_max_str_digits()
+    setter(limit)
+    try:
+        yield
+    finally:
+        setter(old)
+
+
+def test_outputs_beyond_default_digit_limit(capsys, tmp_path):
     # A051459(12) and the n=14 mask serials have more than 4300 decimal
-    # digits, the default int-to-text limit of Python 3.11+ and 3.10.7+
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    code, out, err = run(capsys, "enumerate", "--seq", "A051459", "--upto", "12")
-    assert code == 0 and err == ""
-    lines = out.splitlines()
-    assert len(lines) == 12 and lines[-1].startswith("12 ")
-    code, out, err = run(capsys, "masks", "--n", "14", "--paper-serials")
-    assert code == 0 and err == ""
-    lines = out.splitlines()
-    assert len(lines) == 15 and lines[-1] == "1"
-    if limit is not None:
-        assert sys.get_int_max_str_digits() == limit
+    # digits, the default int-to-text limit of Python 3.11+ and 3.10.7+.
+    # The CLI prints them whole at that default and at 640, the least a
+    # process may set, and never sets the process-wide limit itself
+    def no_switch(limit):
+        raise AssertionError(f"the CLI set the int-to-text digit limit to {limit}")
+
+    for limit in (4300, 640):
+        with digit_limit(limit), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", no_switch, raising=False)
+            code, out, err = run(capsys, "enumerate", "--seq", "A051459", "--upto", "12")
+            assert code == 0 and err == ""
+            lines = out.splitlines()
+            assert [tuple(map(parse_int, line.split())) for line in lines] == [(n, SEQUENCES["A051459"].closed_form(n)) for n in range(1, 13)]
+            assert len(lines[-1]) > 9000
+            code, out, err = run(capsys, "masks", "--n", "14", "--paper-serials")
+            assert code == 0 and err == ""
+            assert [parse_int(line) for line in out.splitlines()] == [mask_paper_serial(m) for m in masks_recursive(14).masks]
+            # a b-file whose term 12 is wrong in its last digit and whose term 13 is negative
+            want = lines[-1].split()[1]
+            got = want[:-1] + str((int(want[-1]) + 1) % 10)
+            (tmp_path / "b051459.txt").write_text("\n".join([*lines[:11], f"12 {got}", "13 -" + "9" * 5000]) + "\n")
+            code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+            assert code == 1 and err == ""
+            assert out == f"A051459: FAIL at index 12 (expected {want}, got {got})\n"
 
 
 def test_decimal_rendering_matches_str():
-    # _decimal splits at 512 bits; the masks at n >= 10 are longer than that
-    values = [0, 1, (1 << 512) - 1, 1 << 512, (1 << 1025) - 1]
+    # _decimal divides once by 10^_HALF_DIGITS up to _SPLIT_BITS, and splits
+    # longer ints to leaves of _DECIMAL_LEAF_BITS; the masks at n >= 15 are
+    # longer.  Under a digit limit below the default it takes the last path
+    rng = random.Random(17)
+    values = [0, 1, 10**cli_mod._HALF_DIGITS, 10**cli_mod._HALF_DIGITS - 1, 10**5000, 3**40000]
+    for w in (cli_mod._DECIMAL_LEAF_BITS, cli_mod._SPLIT_BITS, 2 * cli_mod._SPLIT_BITS):
+        for b in (w - 1, w, w + 1):
+            values += [(1 << b) - 1, 1 << b, rng.getrandbits(b) | 1 << (b - 1)]
     values += [mask_paper_serial(m) for n in range(1, 17) for m in masks_recursive(n).masks]
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        for v in values:
-            assert _decimal(v) == str(v)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    values += [-v for v in values]
+    with digit_limit(0):
+        want = [str(v) for v in values]
+    for limit in (0, 4300, 640):
+        with digit_limit(limit):
+            assert [_decimal(v) for v in values] == want, limit
 
 
 def test_degree(capsys):
@@ -393,6 +431,11 @@ def test_domain_error_exit_code(capsys, tmp_path, tmp_path_factory):
         # more than 2^24 lines: every subset of 25 labels, or C(30, 15) of 30
         (("subsets", "--universe", labels(25), "--all"), ("--all", "--universe of 25", "33554432", "16777216")),
         (("subsets", "--universe", labels(30), "--k", "15"), ("--k 15", "--universe of 30", "155117520", "16777216")),
+        # masks: more than 2^24 bits a row, or 2^21 bits a decimal serial
+        (("masks", "--n", "25"), ("--n 25", "bit rows", "33554432", "16777216", "(--n 24)")),
+        (("masks", "--n", "26"), ("--n 26", "bit rows", "67108864", "16777216", "(--n 24)")),
+        (("masks", "--n", "22", "--paper-serials"), ("--n 22 --paper-serials", "4194304", "2097152", "(--n 21)")),
+        (("masks", "--n", "30", "--paper-serials"), ("--n 30 --paper-serials", "1073741824", "2097152", "(--n 21)")),
         (("search", "--n", "10", "--tt", missing), ("--tt", "no such file", "1024", f"got {len(missing)}")),
         (("degree", "--n", "10", "--anf", missing), ("--anf", "no such file", "1024", f"got {len(missing)}")),
         (("search", "--n", "4", "--tt", str(short)), (f"error: --tt: {str(short)!r}: expected 8 bytes for n=4, got 3\n",)),

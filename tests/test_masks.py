@@ -3,7 +3,7 @@ import math
 import pytest
 
 from wlocube import TruthTable, mask_paper_serial, mask_test, masks_from_wlo, masks_recursive, wlo_bucket
-from wlocube.masks import mask_bit_rows, word_count
+from wlocube.masks import mask_bit_groups, mask_bit_rows, word_count
 
 PAPER_SERIALS = {
     1: (2, 1),
@@ -94,3 +94,9 @@ def test_bit_rows_rendering():
     assert mask_bit_rows(ms[0]) == "10000000 00000000"
     assert mask_bit_rows(ms[2]) == "00010110 01101000"
     assert mask_bit_rows(ms[4]) == "00000000 00000001"
+    # the streamed groups agree with slicing the bit string, where n < 3 is
+    # one group shorter than 8
+    for n in range(1, 11):
+        for mask in masks_recursive(n).masks:
+            bits = mask.to_bitstring()
+            assert list(mask_bit_groups(mask)) == [bits[i : i + 8] for i in range(0, len(bits), 8)]
