@@ -24,8 +24,11 @@ in l_n, which is the layers below it plus its colex rank inside its
 layer, or 2^n on a miss.
 
 The bitwise route returns only the weight; layer_support then reads the
-witnesses out of that layer's AND.  It costs at most 16 passes over the
-AND for up to 16 witnesses, plus one byte scan beyond that.
+witnesses out of that layer's AND.  It costs the AND, then one XOR over it
+per window of witnesses, except the window that reaches the layer's least
+serial 2^k - 1, which costs none, and the window that holds every bit
+left, which costs one compare; past 16 witnesses, one byte scan reads the
+rest.
 """
 
 from dataclasses import dataclass
@@ -62,10 +65,13 @@ _new_hit = tuple.__new__
 # per byte value: the positions of its set bits, and a 0/1 nonzero flag
 _BYTE_ONES = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
 _NONZERO_BYTE = bytes([0] + [1] * 255)
-# layer_support's peel: unbounded, it is quadratic in a dense support, and
-# without the window test a crowded top costs up to 1.6x the byte scan
+# layer_support peels up to _PEEL_BUDGET witnesses, from windows of the top
+# _PEEL_WINDOW bits of what is left of the AND; unbounded, the peel is
+# quadratic in a dense support, and a crowded window wastes at most the
+# budget's small-int peels before the byte scan takes over
 _PEEL_BUDGET = 16
 _PEEL_WINDOW = 1 << 12
+_WINDOW_TOP = 1 << (_PEEL_WINDOW - 1)
 
 
 def _check_same_dim(n: int, other: int, what: str) -> None:
@@ -216,24 +222,58 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
 def layer_support(tt: TruthTable, mask: TruthTable) -> list[int]:
     """Ascending serials of set bits of (tt AND mask).
 
-    It costs at most 16 (_PEEL_BUDGET) passes over the AND for up to 16
-    witnesses, plus one byte scan beyond that: the highest set bits are
-    peeled one pass each, and only what the budget leaves is scanned.  When
-    the top _PEEL_WINDOW bits of the AND alone hold more set bits than the
-    budget, the peel is skipped and the byte scan reads the whole AND.
+    mask must be one layer's mask, masks_recursive(n)[k] or
+    masks_from_wlo(seq)[k]: the peel stops at that layer's least serial,
+    2^k - 1, and reads no bit below it.
+
+    An AND that fits in one _PEEL_WINDOW is peeled as it is.  A longer one
+    is read a window at a time: a right shift takes its top _PEEL_WINDOW
+    bits, their witnesses are peeled as small ints, and one XOR clears the
+    window from the AND.  The window that reaches 2^k - 1 holds all that is
+    left, so it needs no XOR, and a window found equal to all that is left
+    needs none either.  Past _PEEL_BUDGET (16) witnesses, so after at most
+    16 XORs, one byte scan reads what is left.
     """
     if tt.n != mask.n:
         _check_same_dim(tt.n, mask.n, "mask")
     x = tt.bits & mask.bits
     peeled = []
     low = x.bit_length() - _PEEL_WINDOW
-    if low <= 0 or (x >> low).bit_count() <= _PEEL_BUDGET:
+    if low <= 0:  # one window, as at every n <= 12: peel x itself
         while x and len(peeled) < _PEEL_BUDGET:
             b = x.bit_length() - 1
             peeled.append(b)
             x ^= 1 << b
         if not x:
             return peeled[::-1]
+    else:
+        # the layer's least serial, 2^k - 1 for the weight k of the top bit
+        floor = (1 << (low + _PEEL_WINDOW - 1).bit_count()) - 1
+        while True:
+            if low < floor:
+                low = floor
+            w = v = x >> low
+            # a lone witness, on the window's top bit, needs no small-int
+            # peel, and 1 << it is cheaper to build than the equal w << low
+            lone = w == _WINDOW_TOP
+            if lone:
+                peeled.append(low + _PEEL_WINDOW - 1)
+                v = 0
+            while v and len(peeled) < _PEEL_BUDGET:
+                b = v.bit_length() - 1
+                peeled.append(low + b)
+                v ^= 1 << b
+            if low == floor and not v:  # no bit lies below 2^k - 1
+                return peeled[::-1]
+            c = 1 << peeled[-1] if lone else (w ^ v) << low
+            # the window held every bit left: the XOR would walk all of x down
+            # to 0, where a compare reads x once and allocates nothing
+            if x == c:
+                return peeled[::-1]
+            x ^= c
+            if v or len(peeled) == _PEEL_BUDGET:
+                break
+            low = x.bit_length() - _PEEL_WINDOW
     view = x.to_bytes((x.bit_length() + 7) >> 3, "little")
     flags = view.translate(_NONZERO_BYTE)
     out = []

@@ -6,8 +6,10 @@ one serial of seq.order at a time and counts every probe, as the paper's
 scan does.  Both ends bisect the unions MaskSet.above; the heavy end's
 oracle is the paper's bitwise loop, one AND per layer from n down, and
 the light end's is the same loop from layer 0 up.
-layer_support peels up to a budget of set bits and byte-scans the rest;
-its oracle tests every serial of the layer.
+layer_support reads the layer's AND a window at a time from the top:
+one XOR per window of witnesses, none for the window that reaches the
+layer's least serial 2^k - 1 or holds every bit left, and one byte scan
+past a budget of 16 witnesses; its oracle tests every serial of the layer.
 """
 
 import copy
@@ -16,7 +18,7 @@ import random
 import sys
 import threading
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import comb
 
 import pytest
@@ -392,7 +394,8 @@ def test_light_end_ands_per_single_bit(n):
 
 
 def check_layer_support(tt, k):
-    expected = [s for s in layer_serials(tt.n, k) if tt.bits >> s & 1]
+    text = format(tt.bits, "b")[::-1]  # text[s] is bit s; a shift per serial is slow at n=18
+    expected = [s for s in layer_serials(tt.n, k) if s < len(text) and text[s] == "1"]
     assert layer_support(tt, masks_recursive(tt.n)[k]) == expected
     return expected
 
@@ -410,13 +413,17 @@ SUPPORT_SIZES = (0, 1, _PEEL_BUDGET - 1, _PEEL_BUDGET, _PEEL_BUDGET + 1, "full")
 
 @st.composite
 def tables_with_one_layer_support(draw):
-    """(table, k, size): exactly `size` of layer k's serials set, any bits in other layers."""
-    n = draw(st.integers(1, 12))
+    """(table, k, size): exactly `size` of layer k's serials set, any bits in other layers.
+
+    Past n = 12 the AND is longer than one peel window.
+    """
+    n = draw(st.integers(1, 16))
     k = draw(st.integers(0, n))
     layer = list(layer_serials(n, k))
     size = draw(st.sampled_from([s for s in SUPPORT_SIZES if s == "full" or s <= len(layer)]))
     chosen = layer if size == "full" else draw(st.lists(st.sampled_from(layer), min_size=size, max_size=size, unique=True))
-    noise = draw(st.integers(0, (1 << (1 << n)) - 1)) & ~masks_recursive(n)[k].bits
+    # a seeded draw: 2^16 bits from st.integers would overrun Hypothesis's buffer
+    noise = draw(st.randoms(use_true_random=False)).getrandbits(1 << n) & ~masks_recursive(n)[k].bits
     return TruthTable(n, TruthTable.from_bits(n, chosen).bits | noise), k, size
 
 
@@ -444,3 +451,98 @@ def test_layer_support_dense_tables_at_n16(k):
     rng = random.Random(k)
     for _ in range(3):
         check_layer_support(TruthTable(16, rng.getrandbits(1 << 16)), k)
+
+
+def window_edge_pair(n, d):
+    """(t, t - d) for the greatest serial t with t - d in its layer, or None.
+
+    For the AND {t, t - d}, t - (_PEEL_WINDOW - 1) is the least bit of the
+    top window and t - _PEEL_WINDOW the greatest bit below it.
+    """
+    return next(((t, t - d) for t in range((1 << n) - 1, d - 1, -1) if (t - d).bit_count() == t.bit_count()), None)
+
+
+@pytest.mark.parametrize("n", [13, 16, 18])
+def test_layer_support_window_edges(n):
+    full = (1 << (1 << n)) - 1
+    top, floor = (1 << n) - 1, (1 << (n - 1)) - 1
+    # layer n: its one serial is both the top bit and the layer's least serial
+    assert check_layer_support(TruthTable(n, full), n) == [top]
+    # layer n-1 of the all-ones table: the last window ends on 2^(n-1) - 1
+    assert check_layer_support(TruthTable(n, full), n - 1) == sorted(top ^ (1 << i) for i in range(n))
+    # without that serial, the last window holds every bit left
+    assert check_layer_support(TruthTable(n, full ^ (1 << floor)), n - 1) == sorted(top ^ (1 << i) for i in range(n - 1))
+    for d in (_PEEL_WINDOW - 1, _PEEL_WINDOW):
+        pair = window_edge_pair(n, d)
+        if pair is None:  # t - 4096 keeps t's weight only by a borrow from bit 13 or above
+            assert (n, d) == (13, _PEEL_WINDOW)
+            continue
+        assert check_layer_support(TruthTable.from_bits(n, pair), pair[0].bit_count()) == sorted(pair)
+    # the top window holds more than the budget: the byte scan reads it partly peeled
+    k = n - 4
+    layer = list(layer_serials(n, k))
+    assert layer[-1] - layer[-_PEEL_BUDGET - 4] < _PEEL_WINDOW
+    chosen = layer[-_PEEL_BUDGET - 4:] + layer[:3]
+    assert check_layer_support(TruthTable.from_bits(n, chosen), k) == sorted(chosen)
+    # so does the window that reaches the least serial, here 2^11 - 1
+    chosen = list(takewhile(lambda s: s < (1 << 11) - 1 + _PEEL_WINDOW, layer_serials(n, 11)))
+    assert len(chosen) > _PEEL_BUDGET and chosen[-1] >= _PEEL_WINDOW
+    assert check_layer_support(TruthTable.from_bits(n, chosen), 11) == chosen
+
+
+class BigOpCountingInt(int):
+    """An int that counts the XORs and compares it takes part in; its ANDs and XORs return counting ints."""
+
+    xors = compares = 0
+
+    def __and__(self, other):
+        return BigOpCountingInt(int.__and__(self, other))
+
+    def __xor__(self, other):
+        BigOpCountingInt.xors += 1
+        return BigOpCountingInt(int.__xor__(self, other))
+
+    def __eq__(self, other):
+        BigOpCountingInt.compares += 1
+        return int.__eq__(self, other)
+
+    __rand__ = __and__
+    __rxor__ = __xor__
+    __hash__ = int.__hash__
+
+
+def test_layer_support_big_ops_before_the_byte_scan():
+    # one XOR and one compare per window above the layer's least serial, at
+    # most _PEEL_BUDGET of each; the window that reaches it costs neither
+    n, k = 18, 9
+    layer = list(layer_serials(n, k))
+    spread = [layer[-1]]  # serials more than a window apart
+    for s in reversed(layer):
+        if spread[-1] - s > _PEEL_WINDOW:
+            spread.append(s)
+    assert len(spread) > 2 * _PEEL_BUDGET
+    top, floor = (1 << n) - 1, (1 << (n - 1)) - 1
+    spent = []
+    cases = ((spread, k), (spread[:3], k), (range(1 << n), k), (range(1 << n), n - 1), ([top - 1, floor], n - 1), ([top], n))
+    for chosen, layer_k in cases:
+        bits = TruthTable.from_bits(n, chosen).bits
+        BigOpCountingInt.xors = BigOpCountingInt.compares = 0
+        tt = TruthTable(n, BigOpCountingInt(bits))
+        assert layer_support(tt, masks_recursive(n)[layer_k]) == check_layer_support(TruthTable(n, bits), layer_k)
+        spent.append((BigOpCountingInt.xors, BigOpCountingInt.compares))
+    # one witness per window; the same, where a compare finds the third
+    # window is all that is left; one crowded window; serials 2^18 - 1 - 2^i
+    # for i <= 12, then i = 13, 14 and 15, where the budget runs out; one
+    # window above 2^17 - 1, then the one that reaches it; the top bit is
+    # layer n's least serial
+    assert spent == [(_PEEL_BUDGET, _PEEL_BUDGET), (2, 3), (1, 1), (4, 4), (1, 1), (0, 0)]
+
+
+def test_layer_support_same_for_both_mask_builders():
+    n = 14
+    by_wlo, recursive = masks_from_wlo(wlo(n)), masks_recursive(n)
+    rng = random.Random(n)
+    for size in (3, 40, 1 << (n - 1)):
+        tt = TruthTable.from_bits(n, rng.sample(range(1 << n), size))
+        for k in range(n + 1):
+            assert layer_support(tt, by_wlo[k]) == layer_support(tt, recursive[k])
