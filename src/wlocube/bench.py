@@ -1,13 +1,15 @@
 """Micro-benchmark harness for the library's three search routes.
 
-A corpus is a flat file of raw little-endian 64-bit words produced by a
-seeded splitmix64 stream, consecutive groups of W words forming one truth
-table.  run_bench reads the file once and parses every function with
-TruthTable.from_raw, builds the layer masks, then
-times exhaustive_max, wlo_search_max and bitwise_search_max, one pass each
-over all functions; I/O and parsing never land inside a timed region.
-Each pass counts its ops through one SearchStats: probes for exhaustive
-and wlo, word_ops for bitwise.  Wall-clock seconds are reported but never
+A corpus is (n, count, seed): count truth tables of n variables, each
+word_count(n) raw little-endian 64-bit words drawn in turn from a seeded
+splitmix64 stream, with the bits past 2^n of the one word zeroed below
+n=6.  The file holds only the words; its sidecar <path>.meta holds the
+keys n, count and seed.  run_bench reads the file once and parses every
+function with TruthTable.from_raw, builds the layer masks, then times
+exhaustive_max, wlo_search_max and bitwise_search_max, one pass each over
+all functions; I/O and parsing never land inside a timed region.  Each
+pass counts its ops through one SearchStats: probes for exhaustive and
+wlo, word_ops for bitwise.  Wall-clock seconds are reported but never
 asserted; correctness is gated on identical per-weight result histograms
 across algorithms.
 """
@@ -46,13 +48,9 @@ def splitmix64(seed: int):
 @dataclass(frozen=True)
 class Corpus:
     path: Path
-    word_count: int
-    words_per_function: int
+    n: int
+    count: int
     seed: int
-
-    @property
-    def function_count(self) -> int:
-        return self.word_count // self.words_per_function
 
 
 @dataclass
@@ -70,34 +68,22 @@ class BenchReport:
     results: list[AlgoResult]
 
 
-def gen_corpus(count: int, words_per_function: int, seed: int, path, significant_bits: int | None = None) -> Corpus:
-    """Write count*words_per_function seeded words; same seed, same bytes.
-
-    significant_bits, when given, zeroes the unused high bits of each
-    function's last word (needed for n < 6, where a function is less than
-    one word wide).
-    """
-    if count < 1 or words_per_function < 1:
-        raise ValueError("count and words_per_function must be positive")
+def gen_corpus(count: int, n: int, seed: int, path) -> Corpus:
+    """Write count seeded truth tables of n variables; same seed, same bytes."""
+    check_dim(n)
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
     path = Path(path)
     stream = splitmix64(seed)
-    last_mask = _MASK64
-    if significant_bits is not None:
-        tail = significant_bits - 64 * (words_per_function - 1)
-        if not 1 <= tail <= 64:
-            raise ValueError("significant_bits inconsistent with words_per_function")
-        last_mask = (1 << tail) - 1 if tail < 64 else _MASK64
+    words = word_count(n)
+    last_mask = (1 << min(1 << n, 64)) - 1
     with open(path, "wb") as fh:
         for _ in range(count):
-            for j in range(words_per_function):
-                w = next(stream)
-                if j == words_per_function - 1:
-                    w &= last_mask
-                fh.write(w.to_bytes(8, "little"))
-    total = count * words_per_function
-    meta = f"word_count={total}\nwords_per_function={words_per_function}\nseed={seed}\n"
-    Path(str(path) + ".meta").write_text(meta)
-    return Corpus(path, total, words_per_function, seed)
+            for _ in range(words - 1):
+                fh.write(next(stream).to_bytes(8, "little"))
+            fh.write((next(stream) & last_mask).to_bytes(8, "little"))
+    Path(str(path) + ".meta").write_text(f"n={n}\ncount={count}\nseed={seed}\n")
+    return Corpus(path, n, count, seed)
 
 
 def load_corpus(path) -> Corpus:
@@ -112,32 +98,30 @@ def load_corpus(path) -> Corpus:
         except ValueError:
             raise ValueError(f"{meta}: key {key!r} has a non-integer value {value!r}") from None
     try:
-        return Corpus(path, fields["word_count"], fields["words_per_function"], fields["seed"])
+        return Corpus(path, fields["n"], fields["count"], fields["seed"])
     except KeyError as exc:
         raise ValueError(f"{meta}: missing key {exc.args[0]!r}") from None
 
 
-def _load_tables(corpus: Corpus, n: int) -> list[TruthTable]:
+def _load_tables(corpus: Corpus) -> list[TruthTable]:
     """Read the corpus file once and parse every function into a TruthTable."""
+    n = corpus.n
     check_dim(n)
-    wpf = word_count(n)
-    if wpf != corpus.words_per_function:
-        raise ValueError(f"corpus has {corpus.words_per_function} words per function, n={n} needs {wpf}")
+    step = 8 * word_count(n)
     raw = Path(corpus.path).read_bytes()
-    if len(raw) != 8 * corpus.word_count:
+    if len(raw) != step * corpus.count:
         raise ValueError("corpus file size disagrees with its metadata")
-    step = 8 * wpf
-    return [TruthTable.from_raw(n, raw[i * step : (i + 1) * step]) for i in range(corpus.function_count)]
+    return [TruthTable.from_raw(n, raw[i : i + step]) for i in range(0, len(raw), step)]
 
 
-def run_bench(corpus: Corpus, n: int, algorithms=ALGORITHMS) -> BenchReport:
+def run_bench(corpus: Corpus, algorithms=ALGORITHMS) -> BenchReport:
     """Time the selected search routes over every function in the corpus."""
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
     algorithms = [a for a in ALGORITHMS if a in algorithms]
-    tables = _load_tables(corpus, n)
-    ms = masks_recursive(n)
+    tables = _load_tables(corpus)
+    ms = masks_recursive(corpus.n)
 
     results = []
     for algo in algorithms:
@@ -161,13 +145,13 @@ def run_bench(corpus: Corpus, n: int, algorithms=ALGORITHMS) -> BenchReport:
     for r in results[1:]:
         if r.histogram != results[0].histogram:
             raise AssertionError(f"result histograms differ: {results[0].algorithm} vs {r.algorithm}")
-    return BenchReport(n, len(tables), results)
+    return BenchReport(corpus.n, len(tables), results)
 
 
-def median_wlo_probes(corpus: Corpus, n: int) -> float:
+def median_wlo_probes(corpus: Corpus) -> float:
     """Median per-function probe count of wlo_search_max over a corpus."""
     probes = []
-    for tt in _load_tables(corpus, n):
+    for tt in _load_tables(corpus):
         stats = SearchStats()
         wlo_search_max(tt, stats=stats)
         probes.append(stats.probes)

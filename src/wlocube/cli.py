@@ -12,13 +12,13 @@ from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from itertools import chain, islice
 from math import comb
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import bench as bench_mod
 from . import fixtures as fixtures_mod
 from .counts import SEQUENCES
 from .cube import MAX_DIM
-from .masks import TruthTable, mask_bit_groups, mask_paper_serial, masks_recursive, word_count
+from .masks import TruthTable, mask_bit_groups, masks_recursive, word_count
 from .search import algebraic_degree, mobius_transform, wlo_search_max, wlo_search_min
 from .subsets import SubsetHandle, SubsetUniverse, members_in_order, rank
 from .wlo import layer_serials
@@ -27,6 +27,12 @@ from .wlo import layer_serials
 # subsets: 2^24 serials are 140 MB of text and 3 to 7 s on a 2-vCPU x86-64
 # machine, 2^30 would be 10 GB and minutes
 MAX_WLO_SERIALS = 1 << 24
+
+# subsets also refuses more bytes of output, counted from the label lengths:
+# on that machine 1 GiB of long lines takes about 2 s through a pipe, and
+# 1 GB of 2^24 short lines about 8 s; 20 labels of 5000 characters would
+# be 52 GB
+MAX_SUBSETS_BYTES = 1 << 30
 
 # masks refuses a larger --n, per form, near wlo's time bound: on that
 # machine --n 24 writes 25 bit rows, 472 MB, in about 5.5 s, and --n 21
@@ -53,18 +59,26 @@ def _load_truth_table(n: int, spec: str, option: str) -> TruthTable:
         raise ValueError(f"{option}: no such file, and {exc}") from None
 
 
-def _write_joined(out, items, sep: str) -> None:
-    """Write the strings of items joined by sep, then a newline, 2^16 at a
-    time, so memory stays flat at any count; items holds at least one."""
+# _write_joined joins at most about this many characters before a write
+_WRITE_CHARS = 1 << 18
+
+
+def _write_joined(out, items, sep: str, width: int) -> None:
+    """Write the strings of items joined by sep, then a newline; items holds
+    at least one, each of at most width characters.  Items are joined
+    _WRITE_CHARS characters' worth at a time, so memory stays flat at any
+    count and any width."""
     out.write(next(items))
-    for chunk in iter(lambda: list(islice(items, 1 << 16)), []):
+    batch = max(1, _WRITE_CHARS // (width + len(sep)))
+    for chunk in iter(lambda: list(islice(items, batch)), []):
         out.write(sep + sep.join(chunk))
     out.write("\n")
 
 
-def _layer_stream(n: int, k: int | None, asked: str, noun: str) -> Iterator[int]:
-    """Layer k of l_n, or all of l_n if k is None, streamed: the serials of
-    wlo and subsets --all/--k.  asked names the request in the refusals."""
+def _layer_stream(n: int, k: int | None, asked: str, noun: str) -> tuple[Sequence[int], Iterator[int]]:
+    """Layer k of l_n, or all layers if k is None, and their serials,
+    streamed: the serials of wlo and subsets --all/--k.  asked names the
+    request in the refusals."""
     if k is None:
         layers, count = range(n + 1), 1 << n
     elif 0 <= k <= n:
@@ -73,15 +87,15 @@ def _layer_stream(n: int, k: int | None, asked: str, noun: str) -> Iterator[int]
         raise ValueError(f"{asked} asks for layer k={k}; the layers are [0, {n}]")
     if count > MAX_WLO_SERIALS:
         raise ValueError(f"{asked} asks for {count} {noun}; at most {MAX_WLO_SERIALS} are printed")
-    return chain.from_iterable(layer_serials(n, j) for j in layers)
+    return layers, chain.from_iterable(layer_serials(n, j) for j in layers)
 
 
 def _cmd_wlo(args) -> int:
     n = args.n
     asked = f"--n {n}" if args.layer is None else f"--n {n} --layer {args.layer}"
-    serials = _layer_stream(n, args.layer, asked, "serials")
+    _, serials = _layer_stream(n, args.layer, asked, "serials")
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        _write_joined(out, map(str, serials), "\n" if args.out else " ")
+        _write_joined(out, map(str, serials), "\n" if args.out else " ", len(str((1 << n) - 1)))
     return 0
 
 
@@ -142,11 +156,15 @@ def _cmd_masks(args) -> int:
         asked, form, bound = f"--n {n}", "bit rows", MAX_MASKS_ROWS_N
     if n > bound:
         raise ValueError(f"{asked} asks for {n + 1} {form} of {1 << n} bits; masks prints {form} of at most {1 << bound} bits (--n {bound})")
-    for mask in masks_recursive(n).masks:
-        if args.paper_serials:
-            print(_decimal(mask_paper_serial(mask)))
-        else:
-            _write_joined(sys.stdout, mask_bit_groups(mask), " ")
+    masks = masks_recursive(n).masks
+    if args.paper_serials:
+        # reversing the 2^n coordinates maps serial i to 2^n - 1 - i, of
+        # weight n - wt(i): mask_paper_serial(masks[k]) is masks[n - k].bits
+        for mask in reversed(masks):
+            print(_decimal(mask.bits))
+    else:
+        for mask in masks:
+            _write_joined(sys.stdout, mask_bit_groups(mask), " ", 8)
     return 0
 
 
@@ -189,17 +207,30 @@ def _label_lists(labels: tuple[str, ...]) -> list[str]:
     return table
 
 
+def _subsets_bytes(lengths: list[int], layers: Sequence[int]) -> int:
+    """Bytes that subsets prints for these layers, given each label's length
+    in bytes: per k-subset, its k labels, k - 1 commas and a newline."""
+    n, total = len(lengths), sum(lengths)
+    return sum(comb(n - 1, k - 1) * total + comb(n, k) * k if k else 1 for k in layers)
+
+
 def _cmd_subsets(args) -> int:
     universe = SubsetUniverse(tuple(args.universe.split(",")))
     size = universe.n
     if args.all or args.k is not None:
-        asked = "--all" if args.all else f"--k {args.k}"
-        serials = _layer_stream(size, args.k, f"{asked} of a --universe of {size} labels", "subsets")
+        asked = f"{'--all' if args.all else f'--k {args.k}'} of a --universe of {size} labels"
+        layers, serials = _layer_stream(size, args.k, asked, "subsets")
+        # an argument byte that is not UTF-8 arrives as a lone surrogate, and
+        # stdout writes it back as that one byte
+        lengths = [len(label.encode(errors="surrogateescape")) for label in universe.elements]
+        total = _subsets_bytes(lengths, layers)
+        if total > MAX_SUBSETS_BYTES:
+            raise ValueError(f"{asked} asks for {total} bytes of output; subsets prints at most {MAX_SUBSETS_BYTES} bytes")
         # each line is two table lookups, one per half of the serial
         low = size >> 1
         high, rest = _label_lists(universe.elements[: size - low]), _label_lists(universe.elements[size - low :])
         mask = (1 << low) - 1
-        _write_joined(sys.stdout, ((high[s >> low] + rest[s & mask])[:-1] for s in serials), "\n")
+        _write_joined(sys.stdout, ((high[s >> low] + rest[s & mask])[:-1] for s in serials), "\n", sum(lengths) + size)
     elif args.rank is not None:
         members = [m for m in args.rank.split(",") if m]
         print(rank(universe, members).serial)
@@ -210,19 +241,20 @@ def _cmd_subsets(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.gen:
-        wpf = word_count(args.n)
-        max_count = bench_mod.MAX_CORPUS_BYTES // (8 * wpf)
+        max_count = bench_mod.MAX_CORPUS_BYTES // (8 * word_count(args.n))
         if not 1 <= args.count <= max_count:
             raise ValueError(
                 f"--count must be in [1, {max_count}] at --n {args.n}, for a corpus of at most"
                 f" {bench_mod.MAX_CORPUS_BYTES} bytes; got {args.count}"
             )
-        bench_mod.gen_corpus(args.count, wpf, args.seed, args.corpus, significant_bits=1 << args.n)
+        bench_mod.gen_corpus(args.count, args.n, args.seed, args.corpus)
         print(f"wrote {args.count} functions of {args.n} variables to {args.corpus}")
         return 0
     corpus = bench_mod.load_corpus(args.corpus)
+    if corpus.n != args.n:
+        raise ValueError(f"--n {args.n} disagrees with corpus {args.corpus}, which holds functions of n={corpus.n} variables")
     algorithms = args.algorithms.split(",") if args.algorithms else list(bench_mod.ALGORITHMS)
-    report = bench_mod.run_bench(corpus, args.n, algorithms)
+    report = bench_mod.run_bench(corpus, algorithms)
     for r in report.results:
         print(f"{r.algorithm}: {r.seconds:.6f} s, {r.ops} ops")
     if args.report:

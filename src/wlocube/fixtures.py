@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .counts import SEQUENCES
-from .masks import mask_paper_serial, masks_recursive
+from .masks import masks_recursive
 from .wlo import wlo_bucket
 
 
@@ -55,8 +55,9 @@ def _wlo_triangle() -> Iterator[int]:
 
 
 def _mask_serial_triangle() -> Iterator[int]:
+    # the paper serial of mask k is the bits of mask n - k (see cli masks)
     for n in count(1):
-        yield from map(mask_paper_serial, masks_recursive(n).masks)
+        yield from (mask.bits for mask in reversed(masks_recursive(n).masks))
 
 
 # name -> (first index, a fresh stream of the terms from that index on)

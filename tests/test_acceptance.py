@@ -33,7 +33,6 @@ from wlocube import (
 from wlocube.bench import ALGORITHMS, gen_corpus, median_wlo_probes, run_bench
 from wlocube.cli import main
 from wlocube.fixtures import parse_bfile
-from wlocube.masks import word_count
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -172,12 +171,12 @@ def test_degree_pipeline():
 def test_performance(tmp_path):
     t0 = time.perf_counter()
     n = 10
-    corpus = gen_corpus(10**5, word_count(n), 0xBE7C4, tmp_path / "n10.bin")
-    rep = run_bench(corpus, n, ALGORITHMS)
+    corpus = gen_corpus(10**5, n, 0xBE7C4, tmp_path / "n10.bin")
+    rep = run_bench(corpus, ALGORITHMS)
     seconds = {r.algorithm: r.seconds for r in rep.results}
     assert seconds["wlo"] <= seconds["exhaustive"] / 10
     assert seconds["bitwise"] <= seconds["exhaustive"] / 10
-    assert median_wlo_probes(corpus, n) <= n + 2
+    assert median_wlo_probes(corpus) <= n + 2
     assert time.perf_counter() - t0 < 120
     report(
         "Performance (exhaustive {:.2f}s, wlo {:.3f}s, bitwise {:.3f}s)".format(

@@ -305,6 +305,65 @@ def test_subsets_lines_match_the_handles(capsys):
             assert out == "".join(",".join(members_in_order(h)) + "\n" for h in handles), (universe, opt)
 
 
+def test_subsets_output_size_is_counted_exactly(capsys):
+    rng = random.Random(5)
+    universes = ["a", "p,,q", labels(7), "é,ß,x,∑", ",".join("y" * rng.randrange(40) + str(i) for i in range(9))]
+    for universe in universes:
+        elements = universe.split(",")
+        lengths = [len(e.encode()) for e in elements]
+        for opt in [("--all",), *(("--k", str(k)) for k in range(len(elements) + 1))]:
+            layers = range(len(elements) + 1) if opt == ("--all",) else (int(opt[1]),)
+            code, out, _ = run(capsys, "subsets", "--universe", universe, *opt)
+            assert code == 0
+            assert len(out.encode()) == cli_mod._subsets_bytes(lengths, layers), (universe, opt)
+    # every subset of x0..x19 stays inside the bound
+    code, out, err = run(capsys, "subsets", "--universe", labels(20), "--all")
+    assert code == 0 and err == "" and len(out) == 36_700_161 <= cli_mod.MAX_SUBSETS_BYTES
+    # a label byte that is not UTF-8 is counted, and printed, as one byte
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    env["PYTHONIOENCODING"] = "utf-8:surrogateescape"
+    proc = subprocess.run([sys.executable, "-m", "wlocube", "subsets", "--universe", b"a\xff,b", "--all"], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == b"\nb\na\xff\na\xff,b\n", proc.stderr
+
+
+def test_subsets_refuses_too_many_bytes(capsys, monkeypatch):
+    # the refusal comes before any line is rendered
+    def no_render(*args):
+        raise AssertionError("labels rendered for a refused request")
+
+    monkeypatch.setattr(cli_mod, "_label_lists", no_render)
+    universe = ",".join(f"x{i}".ljust(5000, "a") for i in range(20))
+    code, out, err = run(capsys, "subsets", "--universe", universe, "--all")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: --all of a --universe of 20 labels")
+    assert "52439285761" in err and str(cli_mod.MAX_SUBSETS_BYTES) in err
+    monkeypatch.undo()
+    # the bound is inclusive: a,b,c --k 2 is "b,c\na,c\na,b\n", 12 bytes
+    for bound, want in ((12, 0), (11, 1)):
+        monkeypatch.setattr(cli_mod, "MAX_SUBSETS_BYTES", bound)
+        code, out, err = run(capsys, "subsets", "--universe", "a,b,c", "--k", "2")
+        assert code == want and (out == "b,c\na,c\na,b\n") == (want == 0), (bound, err)
+
+
+def test_write_joined_batches_by_characters(monkeypatch):
+    monkeypatch.setattr(cli_mod, "_WRITE_CHARS", 1000)
+
+    class Out:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, s):
+            self.writes.append(s)
+
+    for width, count in ((3, 2000), (99, 300), (2500, 7)):
+        items = [str(i % 10) * width for i in range(count)]
+        out = Out()
+        cli_mod._write_joined(out, iter(items), "\n", width)
+        assert "".join(out.writes) == "\n".join(items) + "\n"
+        # a write holds at most one item past the character budget
+        assert max(map(len, out.writes)) <= max(1000, width + 1), width
+
+
 def test_bench_gen_and_run(capsys, tmp_path):
     corpus = tmp_path / "c.bin"
     code, _, _ = run(capsys, "bench", "--gen", "--n", "6", "--corpus", str(corpus), "--count", "200", "--seed", "9")
@@ -337,14 +396,43 @@ def test_bench_run_rejects_meta_missing_key(capsys, tmp_path):
     code, out, err = run(capsys, "bench", "--run", "--n", "6", "--corpus", str(corpus))
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert str(meta) in err and "word_count" in err
+    assert str(meta) in err and "'n'" in err
+
+
+def test_bench_run_rejects_old_meta(capsys, tmp_path):
+    # the sidecar of a corpus written when it held the word counts, not n
+    corpus = tmp_path / "c.bin"
+    corpus.write_bytes(bytes(8 * 64))
+    meta = tmp_path / "c.bin.meta"
+    meta.write_text("word_count=64\nwords_per_function=1\nseed=3\n")
+    code, out, err = run(capsys, "bench", "--run", "--n", "4", "--corpus", str(corpus))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(meta) in err and "missing key 'n'" in err
+
+
+def test_bench_run_rejects_another_n(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "c.bin"
+    code, _, _ = run(capsys, "bench", "--gen", "--n", "4", "--corpus", str(corpus), "--count", "64", "--seed", "3")
+    assert code == 0
+
+    # the check comes before any table is read
+    def no_read(*args, **kwargs):
+        raise AssertionError("tables read for a corpus of another n")
+
+    monkeypatch.setattr(bench_mod, "_load_tables", no_read)
+    for k in ("1", "5", "6", "7"):
+        code, out, err = run(capsys, "bench", "--run", "--n", k, "--corpus", str(corpus))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: --n {k} ") and str(corpus) in err and "n=4" in err, err
 
 
 def test_bench_run_rejects_meta_non_integer(capsys, tmp_path):
     corpus = tmp_path / "c.bin"
     corpus.write_bytes(bytes(8))
     meta = tmp_path / "c.bin.meta"
-    meta.write_text("word_count=1\nwords_per_function=1\nseed=x1\n")
+    meta.write_text("n=6\ncount=1\nseed=x1\n")
     code, out, err = run(capsys, "bench", "--run", "--n", "6", "--corpus", str(corpus))
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1

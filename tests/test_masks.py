@@ -80,6 +80,14 @@ def test_paper_serial_recursion_identity():
         prev = cur
 
 
+def test_paper_serial_is_the_mirror_layer():
+    # reversing the coordinates maps serial i to 2^n - 1 - i, of weight
+    # n - wt(i); masks --paper-serials and A305860 print the mirror's bits
+    for n in range(1, 13):
+        for source in (masks_recursive(n), masks_from_wlo(wlo_bucket(n))):
+            assert [mask_paper_serial(m) for m in source.masks] == [m.bits for m in reversed(source.masks)]
+
+
 def test_mask_test():
     ms = masks_recursive(4)
     assert mask_test(ms[2], 12)
