@@ -5,7 +5,8 @@ word_count(n) raw little-endian 64-bit words drawn in turn from a seeded
 splitmix64 stream, with the bits past 2^n of the one word zeroed below
 n=6.  The file holds only the words; its sidecar <path>.meta holds the
 keys n, count and seed.  run_bench reads the file once and parses every
-function with TruthTable.from_raw, builds the layer masks, then times
+function with TruthTable.from_raw, at every n (a memoryview, which
+from_raw never defers), builds the layer masks, then times
 exhaustive_max, wlo_search_max and bitwise_search_max, one pass each over
 all functions; I/O and parsing never land inside a timed region.  Each
 pass counts its ops through one SearchStats: probes for exhaustive and
@@ -18,8 +19,10 @@ import csv
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from statistics import median
+from struct import Struct
 
 from .cube import check_dim
 from .masks import masks_recursive, word_count
@@ -77,11 +80,16 @@ def gen_corpus(count: int, n: int, seed: int, path) -> Corpus:
     stream = splitmix64(seed)
     words = word_count(n)
     last_mask = (1 << min(1 << n, 64)) - 1
+    pack = Struct(f"<{words}Q").pack
+    per_batch = max(1, (1 << 20) // (8 * words))  # tables per write, about 1 MiB
     with open(path, "wb") as fh:
-        for _ in range(count):
-            for _ in range(words - 1):
-                fh.write(next(stream).to_bytes(8, "little"))
-            fh.write((next(stream) & last_mask).to_bytes(8, "little"))
+        for start in range(0, count, per_batch):
+            batch = []
+            for _ in range(min(per_batch, count - start)):
+                table = list(islice(stream, words))
+                table[-1] &= last_mask
+                batch.append(pack(*table))
+            fh.write(b"".join(batch))
     Path(str(path) + ".meta").write_text(f"n={n}\ncount={count}\nseed={seed}\n")
     return Corpus(path, n, count, seed)
 
@@ -111,7 +119,10 @@ def _load_tables(corpus: Corpus) -> list[TruthTable]:
     raw = Path(corpus.path).read_bytes()
     if len(raw) != step * corpus.count:
         raise ValueError("corpus file size disagrees with its metadata")
-    return [TruthTable.from_raw(n, raw[i : i + step]) for i in range(0, len(raw), step)]
+    # from_raw parses a memoryview at once, where it would defer the parse
+    # of a bytes slice at n >= 17 into the first timed pass that reads it
+    view = memoryview(raw)
+    return [TruthTable.from_raw(n, view[i : i + step]) for i in range(0, len(raw), step)]
 
 
 def run_bench(corpus: Corpus, algorithms=ALGORITHMS) -> BenchReport:

@@ -22,6 +22,14 @@ def word_count(n: int) -> int:
     return 1 << max(0, n - 6)
 
 
+# from_raw defers the parse of a bytes table of 2^17 bits (16 KiB) or more,
+# so a search that its first n + 1 probes decide reads n - 2 of its bytes.
+# A deferred table that is parsed after all pays 0.3-0.5 us for its bits
+# property: 3.4-4.5% of the parse at n=16, 2.2-2.3% at n=17 and 0.6-1.0% at
+# n=18 (CPython 3.11, x86-64), so smaller tables are parsed at once
+DEFER_PARSE_MIN_N = 17
+
+
 class TruthTable:
     """A Boolean function of n variables as one int of 2^n bits.
 
@@ -34,6 +42,14 @@ class TruthTable:
     nothing, and is only for bits the library bounded itself: from_bits,
     the masks, mobius_transform, and from_raw at n >= 6, whose 2^(n-3)
     bytes are 2^n bits.
+
+    At n >= DEFER_PARSE_MIN_N (17), from_raw given a bytes object returns
+    a private subclass that keeps those bytes in the bits slot and parses
+    them on the first read of bits; the searches read their first probes
+    from the bytes instead.  Below 17 that property would cost 3.4% or
+    more of the parse it defers, so from_raw parses at once, as it does for
+    a bytearray or any other buffer, which can change after the call.  The
+    two classes compare, hash, print and pickle alike.
     """
 
     __slots__ = ("n", "bits")
@@ -57,7 +73,7 @@ class TruthTable:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
-        return (self.n, self.bits) == (other.n, other.bits) if other.__class__ is self.__class__ else NotImplemented
+        return (self.n, self.bits) == (other.n, other.bits) if isinstance(other, TruthTable) else NotImplemented
 
     def __hash__(self):
         return hash((self.n, self.bits))
@@ -66,7 +82,7 @@ class TruthTable:
         return f"TruthTable(n={self.n!r}, bits={self.bits!r})"
 
     def __reduce__(self):
-        return self.__class__, (self.n, self.bits)
+        return TruthTable, (self.n, self.bits)
 
     @classmethod
     def from_bits(cls, n: int, ones: Iterable[int]) -> "TruthTable":
@@ -94,14 +110,18 @@ class TruthTable:
     @classmethod
     def from_raw(cls, n: int, data: bytes) -> "TruthTable":
         """Parse raw little-endian 64-bit words (the corpus file format)."""
-        # a valid table at n >= 6 is 2^(n-3) bytes; the rest is checked below
-        if n.__class__ is int and 6 <= n <= MAX_DIM and len(data) == 1 << (n - 3):
+        # a valid table at n >= 6 is 2^(n-3) bytes: parsed at once below 17,
+        # kept unparsed from 17 when it is bytes; the rest is checked below
+        if n.__class__ is int and 6 <= n < DEFER_PARSE_MIN_N and len(data) == 1 << (n - 3):
             return cls._trusted(n, int.from_bytes(data, "little"))
+        if data.__class__ is bytes and n.__class__ is int and DEFER_PARSE_MIN_N <= n <= MAX_DIM and len(data) == 1 << (n - 3):
+            return _DeferredTable._trusted(n, data)
         check_dim(n)
         w = word_count(n)
         if len(data) != 8 * w:
             raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
-        # below n=6 the one word holds bits past 2^n, which the check rejects
+        # below n=6 the one word holds bits past 2^n, which the check rejects;
+        # from 17 a buffer other than bytes is parsed here, at once
         return cls(n, int.from_bytes(data, "little"))
 
     def to_bitstring(self) -> str:
@@ -110,6 +130,23 @@ class TruthTable:
 
 # the slot descriptors store past the __setattr__ that keeps tables immutable
 _new, _set_n, _set_bits = object.__new__, TruthTable.n.__set__, TruthTable.bits.__set__
+# the bits slot itself, which holds a deferred table's raw bytes until parsed
+_slot_bits = TruthTable.bits.__get__
+
+
+class _DeferredTable(TruthTable):
+    """A table from from_raw whose bits slot holds the raw bytes until first read."""
+
+    __slots__ = ()
+
+    @property
+    def bits(self) -> int:
+        v = _slot_bits(self)
+        if v.__class__ is bytes:
+            # threads that race here store equal ints
+            v = int.from_bytes(v, "little")
+            _set_bits(self, v)
+        return v
 
 
 @dataclass(frozen=True)

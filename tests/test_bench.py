@@ -7,6 +7,7 @@ from wlocube.bench import (
     ALGORITHMS,
     BenchReport,
     Corpus,
+    _load_tables,
     gen_corpus,
     load_corpus,
     median_wlo_probes,
@@ -14,7 +15,7 @@ from wlocube.bench import (
     splitmix64,
     write_report,
 )
-from wlocube.masks import word_count
+from wlocube.masks import TruthTable, word_count
 
 
 def checksum(path):
@@ -144,3 +145,30 @@ def test_gen_corpus_rejects_bad_arguments(tmp_path):
         with pytest.raises(ValueError):
             gen_corpus(count, n, 1, tmp_path / "c.bin")
     assert list(tmp_path.iterdir()) == []
+
+
+# computed by the per-word writer that gen_corpus replaced: each spans
+# several of the about 1 MiB batches it now writes, the last one partial
+PINNED_MULTI_BATCH = {
+    (10, 20000, 1): "bf51c997fe855a9d0395697e7143f54bb669b4478aa88d01be0be6cc675f2ff6",
+    (17, 70, 2): "836d31a7cbe0cbeb200290c9e97d69e08bdb214d41da96aeb8d12e2dcb771716",
+}
+
+
+@pytest.mark.parametrize("n, count, seed", sorted(PINNED_MULTI_BATCH))
+def test_gen_corpus_bytes_across_write_batches(tmp_path, n, count, seed):
+    path = tmp_path / "c.bin"
+    gen_corpus(count, n, seed, path)
+    assert checksum(path) == PINNED_MULTI_BATCH[n, count, seed]
+
+
+def test_run_bench_parses_every_table_before_timing(tmp_path):
+    # from_raw would defer the parse of a bytes table at n >= 17 into the
+    # first timed pass; the loader hands it memoryviews, parsed at once
+    corpus = gen_corpus(3, 17, 5, tmp_path / "c.bin")
+    tables = _load_tables(corpus)
+    assert [type(tt) for tt in tables] == [TruthTable] * 3
+    raw = (tmp_path / "c.bin").read_bytes()
+    assert [tt.bits for tt in tables] == [int.from_bytes(raw[i : i + (1 << 14)], "little") for i in range(0, len(raw), 1 << 14)]
+    report = run_bench(corpus)
+    assert len({tuple(sorted(r.histogram.items())) for r in report.results}) == 1
