@@ -23,7 +23,8 @@ def word_count(n: int) -> int:
 
 
 # from_raw defers the parse of a bytes table of 2^17 bits (16 KiB) or more,
-# so a search that its first n + 1 probes decide reads n - 2 of its bytes.
+# so a wlo_search_max that its first n + 1 probes decide reads n - 2 of its
+# bytes.
 # A deferred table that is parsed after all pays 0.3-0.5 us for its bits
 # property: 3.4-4.5% of the parse at n=16, 2.2-2.3% at n=17 and 0.6-1.0% at
 # n=18 (CPython 3.11, x86-64), so smaller tables are parsed at once
@@ -45,7 +46,7 @@ class TruthTable:
 
     At n >= DEFER_PARSE_MIN_N (17), from_raw given a bytes object returns
     a private subclass that keeps those bytes in the bits slot and parses
-    them on the first read of bits; the searches read their first probes
+    them on the first read of bits; wlo_search_max reads its first probes
     from the bytes instead.  Below 17 that property would cost 3.4% or
     more of the parse it defers, so from_raw parses at once, as it does for
     a bytearray or any other buffer, which can change after the call.  The

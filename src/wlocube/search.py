@@ -10,24 +10,28 @@ function from its ANF coefficient vector, which shares the truth-table
 layout; mobius_transform maps a truth table to that vector in n steps
 read from a step table cached per n.
 
-Every search first reads the scan's first n + 1 probes from one end,
-layers n and n - 1 or layers 0 and 1, when the table is one that from_raw
-has not parsed yet (n >= 17, masks.DEFER_PARSE_MIN_N).  They lie in n - 2
-bytes: one itemgetter picks those, a translate maps them to 0/1 flags, and
-find(1) is the first hit in l_n order.  Dense and low-degree tables mostly
-stop there, with the table unparsed and no layer mask built.  Otherwise
-the search parses the table and runs one kernel (_first_layer): it finds
-the first layer k from one end whose mask meets the table, and returns
-their AND.  Both ends bisect the unions of the masks (MaskSet.above) from
-the weight of the table's top set bit, a free bound on either extreme.
-The heavy end spends at most ceil(log2 n) + 1 ANDs, the light end at most
-2 more, for layers 0 and 1 first; a walk over the layers spends up to
-n + 1.  The paper's WLO scan stops at the first support vector along l_n;
-inside a layer l_n ascends, so that vector is the highest set bit of the
-AND from the heavy end and the lowest from the light end.
-SearchStats.probes is still the number of serials the paper's scan
-probes: the hit's position in l_n, which is the layers below it plus its
-colex rank inside its layer, or 2^n on a miss.
+wlo_search_max first reads the scan's first n + 1 probes, layers n and
+n - 1, when the table is one that from_raw has not parsed yet (n >= 17,
+masks.DEFER_PARSE_MIN_N).  They lie in n - 2 bytes: one itemgetter picks
+those, a translate maps them to 0/1 flags, and find(1) is the first hit in
+l_n order.  Dense and low-degree tables mostly stop there, with the table
+unparsed and no layer mask built.  The light end and the bitwise route
+parse: read from the bytes they too ran 3.5-4.3x faster, but a call decided
+there costs a few cache misses rather than work, so its time follows the
+caller's cache traffic, and the benchmark's runs of them spread too far
+to bound against the parsed route (README, Search).
+Every other search parses the table and runs one kernel (_first_layer):
+it finds the first layer k from one end whose mask meets the table, and
+returns their AND.  Both ends bisect the unions of the masks
+(MaskSet.above) from the weight of the table's top set bit, a free bound
+on either extreme.  The heavy end spends at most ceil(log2 n) + 1 ANDs,
+the light end at most 2 more, for layers 0 and 1 first; a walk over the
+layers spends up to n + 1.  The paper's WLO scan stops at the first
+support vector along l_n; inside a layer l_n ascends, so that vector is
+the highest set bit of the AND from the heavy end and the lowest from the
+light end.  SearchStats.probes is still the number of serials the paper's
+scan probes: the hit's position in l_n, which is the layers below it plus
+its colex rank inside its layer, or 2^n on a miss.
 
 The bitwise route returns only the weight; layer_support then reads the
 witnesses out of that layer's AND.  It costs the AND, then one XOR over it
@@ -79,15 +83,12 @@ _NONZERO_BYTE = bytes([0] + [1] * 255)
 _PEEL_BUDGET = 16
 _PEEL_WINDOW = 1 << 12
 _WINDOW_TOP = 1 << (_PEEL_WINDOW - 1)
-# The scan's first n + 1 probes, in the raw bytes (serial i is bit i & 7 of
-# byte i >> 3).  From the heavy end they are 2^n - 1 and then 2^n - 1 - 2^i,
-# from the light end 0 and then 2^i, for i = 0..n-1.  The first four share
-# the end byte, as its bits 7, 6, 5, 3 or 0, 1, 2, 4; every other probe is
-# the top bit of byte 2^(n-3) - 1 - 2^(i-3) or the low bit of byte 2^(i-3).
+# The heavy end's first n + 1 probes, in the raw bytes (serial i is bit
+# i & 7 of byte i >> 3): 2^n - 1 and then 2^n - 1 - 2^i, for i = 0..n-1.
+# The first four share the last byte, as its bits 7, 6, 5, 3; every other
+# probe is the top bit of byte 2^(n-3) - 1 - 2^(i-3).
 _HEAVY_END = tuple(bytes(v >> b & 1 for b in (7, 6, 5, 3)) for v in range(256))
-_LIGHT_END = tuple(bytes(v >> b & 1 for b in (0, 1, 2, 4)) for v in range(256))
 _TOP_BIT = bytes(v >> 7 for v in range(256))
-_LOW_BIT = bytes(v & 1 for v in range(256))
 
 
 def _check_same_dim(n: int, other: int, what: str) -> None:
@@ -164,40 +165,28 @@ def _first_layer(bits: int, ms: MaskSet, heavy: bool) -> int:
 
 
 @lru_cache(maxsize=None)
-def _end_getters(n: int) -> tuple[itemgetter, itemgetter]:
-    """For n >= 5: the bytes of probes 4..n from the heavy end, and from the light end."""
+def _end_getter(n: int) -> itemgetter:
+    """For n >= 5: the bytes of the heavy end's probes 4..n."""
     last = (1 << (n - 3)) - 1
-    return itemgetter(*(last - (1 << i) for i in range(n - 3))), itemgetter(*(1 << i for i in range(n - 3)))
+    return itemgetter(*(last - (1 << i) for i in range(n - 3)))
 
 
-def _end_flags(raw: bytes, n: int, heavy: bool) -> bytes:
-    """0/1 flags of the scan's first n + 1 probes from one end, in scan order."""
-    if heavy:
-        return _HEAVY_END[raw[-1]] + bytes(_end_getters(n)[0](raw)).translate(_TOP_BIT)
-    return _LIGHT_END[raw[0]] + bytes(_end_getters(n)[1](raw)).translate(_LOW_BIT)
-
-
-def _end_hit(tt: TruthTable, n: int, heavy: bool) -> int:
-    """The scan's first hit among its first n + 1 probes, read from the raw
-    bytes of a table from_raw has not parsed; -1 for a parsed table, or
+def _end_hit(tt: TruthTable, n: int) -> int:
+    """The heavy end's first hit among its first n + 1 probes, read from the
+    raw bytes of a table from_raw has not parsed; -1 for a parsed table, or
     when no probe fires."""
     raw = _slot_bits(tt)
     if raw.__class__ is not bytes:
         return -1
-    # the end byte holds the first four probes, where most tables stop
-    j = (_HEAVY_END[raw[-1]] if heavy else _LIGHT_END[raw[0]]).find(1)
-    if j < 0 and (j := _end_flags(raw, n, heavy).find(1)) < 0:
-        return -1
-    s = 1 << j >> 1  # probe j >= 1 is 2^(j-1) from the light end; probe 0 is 0
-    return (1 << n) - 1 - s if heavy else s
-
-
-def _end_support(raw: bytes, n: int, k: int) -> list[int]:
-    """layer_support of layer k = n or n - 1, from the heavy end's probe flags."""
-    flags, top = _end_flags(raw, n, True), (1 << n) - 1
-    if k == n:
-        return [top] if flags[0] else []
-    return [top - (1 << (j - 1)) for j in range(n, 0, -1) if flags[j]]
+    # the last byte holds the first four probes, where most tables stop
+    j = _HEAVY_END[raw[-1]].find(1)
+    if j < 0:
+        j = bytes(_end_getter(n)(raw)).translate(_TOP_BIT).find(1)
+        if j < 0:
+            return -1
+        j += 4
+    # probe 0 is 2^n - 1, probe j >= 1 is 2^n - 1 - 2^(j-1)
+    return (1 << n) - 1 - (1 << j >> 1)
 
 
 def _wlo_position(n: int, s: int) -> int:
@@ -225,7 +214,7 @@ def _wlo_scan(tt: TruthTable, seq: Optional[WloSequence], heavy: bool, stats: Op
     n = tt.n
     if seq is not None and seq.n != n:
         _check_same_dim(n, seq.n, "sequence")
-    if n < DEFER_PARSE_MIN_N or (s := _end_hit(tt, n, heavy)) < 0:
+    if n < DEFER_PARSE_MIN_N or not heavy or (s := _end_hit(tt, n)) < 0:
         x = _first_layer(tt.bits, masks_recursive(n), heavy)
         if not x:
             if stats is not None:
@@ -261,19 +250,15 @@ def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats]
     Only the maximal weight is returned; witnesses are recovered separately
     via layer_support.
     """
-    n = tt.n
-    if n != ms.n:
-        _check_same_dim(n, ms.n, "mask set")
-    if n >= DEFER_PARSE_MIN_N and (s := _end_hit(tt, n, True)) >= 0:
-        hit = s.bit_count()
-    else:
-        x = _first_layer(tt.bits, ms, True)
-        hit = (x.bit_length() - 1).bit_count() if x else None
+    if tt.n != ms.n:
+        _check_same_dim(tt.n, ms.n, "mask set")
+    x = _first_layer(tt.bits, ms, True)
+    hit = (x.bit_length() - 1).bit_count() if x else None
     if stats is not None:
         # a miss tests every row, as a hit on row 0 does
-        tested = n + 1 - (hit or 0)
+        tested = tt.n + 1 - (hit or 0)
         stats.rows_tested += tested
-        stats.word_ops += tested * word_count(n)
+        stats.word_ops += tested * word_count(tt.n)
     return hit
 
 
@@ -290,17 +275,10 @@ def layer_support(tt: TruthTable, mask: TruthTable) -> list[int]:
     window from the AND.  The window that reaches 2^k - 1 holds all that is
     left, so it needs no XOR, and a window found equal to all that is left
     needs none either.  Past _PEEL_BUDGET (16) witnesses, so after at most
-    16 XORs, one byte scan reads what is left.  For layer n or n - 1 of a
-    table from_raw has not parsed, the witnesses are read from the heavy
-    end's probe flags, and the table stays unparsed.
+    16 XORs, one byte scan reads what is left.
     """
-    n = tt.n
-    if n != mask.n:
-        _check_same_dim(n, mask.n, "mask")
-    if n >= DEFER_PARSE_MIN_N and (raw := _slot_bits(tt)).__class__ is bytes:
-        k = (mask.bits.bit_length() - 1).bit_count()
-        if k >= n - 1:  # layer n or n - 1: its witnesses are the heavy end's probes
-            return _end_support(raw, n, k)
+    if tt.n != mask.n:
+        _check_same_dim(tt.n, mask.n, "mask")
     x = tt.bits & mask.bits
     peeled = []
     low = x.bit_length() - _PEEL_WINDOW

@@ -1,8 +1,9 @@
-"""The deferred parse of from_raw at n >= 17, and the searches' end read.
+"""The deferred parse of from_raw at n >= 17, and wlo_search_max's end read.
 
-Each search on a table from_raw has not parsed reads the scan's first n + 1
-probes from the raw bytes; every answer and counter must equal the parsed
-route's, and a search decided there must leave the table unparsed.
+wlo_search_max on a table from_raw has not parsed reads the heavy end's
+first n + 1 probes from the raw bytes, and a search decided there must
+leave the table unparsed; the other searches parse it.  Every answer and
+counter must equal the parsed route's.
 """
 
 import copy
@@ -109,32 +110,39 @@ def test_end_probes_alone_and_with_one_other_bit():
             assert wlo_search_min(tt) == (s, s.bit_count())
     both = TruthTable.from_raw(n, raw_of(n, 1 << (top ^ 1) | 1 << (top ^ 2)))
     assert wlo_search_max(both) == (top ^ 1, n - 1)
-    assert layer_support(both, masks_recursive(n)[n - 1]) == [top ^ 2, top ^ 1]
     assert is_unparsed(both)
+    assert layer_support(both, masks_recursive(n)[n - 1]) == [top ^ 2, top ^ 1]
 
 
 def test_a_decided_search_leaves_the_table_unparsed_and_builds_no_masks():
     n = 19
-    ms = masks_recursive(n)
     rng = random.Random(7)
     top = (1 << n) - 1
-    # heavy end at layers n and n - 1, light end at layers 0 and 1
+    # decided at layer n, in the last byte, and at layer n - 1 past it
     heavy = [1 << top | rng.getrandbits(1 << n), 1 << (top ^ (1 << 13)), 1 << (top ^ 1) | 1 << 5]
-    light = [1 | 1 << 40, 1 << (1 << 12), 1 << 16 | 1 << (top ^ 3)]
-    before = masks_recursive.cache_info()
+    wanted = []
     for bits in heavy:
+        want = SearchStats()
+        wanted.append((wlo_search_max(TruthTable(n, bits), stats=want), want))
+    before = masks_recursive.cache_info()
+    decided = []
+    for bits, want in zip(heavy, wanted):
         tt = TruthTable.from_raw(n, raw_of(n, bits))
-        hit = wlo_search_max(tt, stats=SearchStats())
-        row = bitwise_search_max(tt, ms, SearchStats())
+        got = SearchStats()
+        decided.append((tt, wlo_search_max(tt, stats=got)))
+        assert is_unparsed(tt)
+        assert (decided[-1][1], got) == want
+    assert masks_recursive.cache_info() == before
+    # the bitwise route and the light end parse, and agree with the end read
+    ms = masks_recursive(n)
+    for tt, hit in decided:
+        row = bitwise_search_max(tt, ms)
         assert hit.weight == row >= n - 1
         assert layer_support(tt, ms[row])[-1] == hit.serial
-        assert layer_support(tt, ms[n]) == ([top] if row == n else [])
-        assert is_unparsed(tt)
-    for bits in light:
-        tt = TruthTable.from_raw(n, raw_of(n, bits))
-        assert wlo_search_min(tt, stats=SearchStats()).weight <= 1
-        assert is_unparsed(tt)
-    assert masks_recursive.cache_info() == before
+        assert not is_unparsed(tt)
+    tt = TruthTable.from_raw(n, raw_of(n, 1 | 1 << 40))
+    assert wlo_search_min(tt) == (0, 0)
+    assert not is_unparsed(tt)
     # a table no end probe decides is parsed, once, on the way to the kernel
     tt = TruthTable.from_raw(n, raw_of(n, 1 << 1000))
     assert wlo_search_max(tt) == wlo_search_min(tt) == (1000, 6)
