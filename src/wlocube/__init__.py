@@ -19,7 +19,7 @@ from .cube import (
     weight_of,
 )
 from .wlo import WloSequence, layer_serials, layer_slice, wlo_bucket, wlo_recursive
-from .masks import MaskSet, TruthTable, mask_paper_serial, mask_test, masks_from_wlo, masks_recursive
+from .masks import TruthTable, mask_paper_serial, mask_test, mask_unions, masks_from_wlo, masks_recursive
 from .search import (
     SearchHit,
     SearchStats,
@@ -53,9 +53,9 @@ __all__ = [
     "wlo_recursive",
     "layer_serials",
     "layer_slice",
-    "MaskSet",
     "masks_from_wlo",
     "masks_recursive",
+    "mask_unions",
     "mask_paper_serial",
     "mask_test",
     "TruthTable",

@@ -57,7 +57,7 @@ def _wlo_triangle() -> Iterator[int]:
 def _mask_serial_triangle() -> Iterator[int]:
     # the paper serial of mask k is the bits of mask n - k (see cli masks)
     for n in count(1):
-        yield from (mask.bits for mask in reversed(masks_recursive(n).masks))
+        yield from (mask.bits for mask in reversed(masks_recursive(n)))
 
 
 # name -> (first index, a fresh stream of the terms from that index on)

@@ -4,13 +4,16 @@ A truth table is one non-negative int of 2^n bits in which bit i is the
 function's value at the vector with serial i.  The mask of layer k is the
 characteristic vector of that layer, that is the truth table of the
 indicator of wt(alpha) == k, so a layer test is a single `&` of two
-tables.  The MSB-first "serial number of a mask" convention (coordinate 0
-as the most significant of the 2^n bits) is honored only when rendering
-with mask_paper_serial.
+tables.  masks_recursive(n) and masks_from_wlo(seq) give the n+1 masks as
+a tuple, masks[k] for layer k; mask_unions(n) gives the unions of masks
+k..n that the searches bisect.  The MSB-first "serial number of a mask"
+convention (coordinate 0 as the most significant of the 2^n bits) is
+honored only when rendering with mask_paper_serial.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator
 
 from .cube import MAX_DIM, check_dim, check_serial
@@ -80,7 +83,8 @@ class TruthTable:
         return hash((self.n, self.bits))
 
     def __repr__(self):
-        return f"TruthTable(n={self.n!r}, bits={self.bits!r})"
+        # hex, which has no digit limit, unlike the decimal of a big int
+        return f"TruthTable(n={self.n!r}, bits={self.bits:#x})"
 
     def __reduce__(self):
         return TruthTable, (self.n, self.bits)
@@ -150,60 +154,39 @@ class _DeferredTable(TruthTable):
         return v
 
 
-@dataclass(frozen=True)
-class MaskSet:
-    """All n+1 layer masks, masks[k] for layer k; pairwise disjoint, union all-ones.
-
-    above[k] is the union of masks k..n, as an int, for k in [0, n+1], with
-    above[n+1] = 0: the table of wt(alpha) >= k.  The searches from both
-    ends bisect over these unions.  They are built on first use, not with
-    the masks, and hold n+1 ints of up to 2^n bits beside them: about
-    2.6 MiB at n=20 and 11 MiB at n=22.
-    """
-
-    n: int
-    masks: tuple[TruthTable, ...]
-    # holds the unions once built.  A field set in __init__, not a
-    # functools.cached_property: that writes through the instance __dict__,
-    # which on CPython 3.11 slows every later attribute read of the mask
-    # set about 3x, and the searches read ms.n and ms.masks on every call
-    _above: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    def __getitem__(self, k: int) -> TruthTable:
-        return self.masks[k]
-
-    @property
-    def above(self) -> tuple[int, ...]:
-        if not self._above:
-            acc, unions = 0, [0]
-            for mask in reversed(self.masks):
-                acc |= mask.bits
-                unions.append(acc)
-            # threads that race here build equal tuples; readers take the first
-            self._above.append(tuple(reversed(unions)))
-        return self._above[0]
-
-
-def masks_from_wlo(seq: WloSequence) -> MaskSet:
-    """Build the masks from the layer slices of a WLO sequence."""
-    return MaskSet(seq.n, tuple(TruthTable.from_bits(seq.n, layer_slice(seq, k)) for k in range(seq.n + 1)))
+def masks_from_wlo(seq: WloSequence) -> tuple[TruthTable, ...]:
+    """Build the n+1 masks, masks[k] for layer k, from the layer slices of a WLO sequence."""
+    return tuple(TruthTable.from_bits(seq.n, layer_slice(seq, k)) for k in range(seq.n + 1))
 
 
 @lru_cache(maxsize=None)
-def masks_recursive(n: int) -> MaskSet:
-    """Build the masks by doubling from dimension 1; cached per n.
+def masks_recursive(n: int) -> tuple[TruthTable, ...]:
+    """Build the n+1 masks by doubling from dimension 1; cached per n.
 
     The layer-i mask for dimension r is the layer-i mask of dimension r-1
     in the low 2^(r-1) bits and the layer-(i-1) mask in the high half
     (prefixing a vector with 1 adds 2^(r-1) to its serial): one shift and
-    one OR per row.
+    one OR per row, from the top down, each row of dimension r-1 popped at
+    its last use so that its memory serves the rows of dimension r.
     """
     check_dim(n)
     rows = [0b01, 0b10]  # n=1: {bit 0}, {bit 1}
     for r in range(2, n + 1):
-        half = 1 << (r - 1)
-        rows = [low | (high << half) for low, high in zip(rows + [0], [0] + rows)]
-    return MaskSet(n, tuple(TruthTable._trusted(n, bits) for bits in rows))
+        half, rows = 1 << (r - 1), [0, *rows, 0]  # with the empty rows -1 and r
+        rows = [rows.pop() | rows[-1] << half for _ in range(r + 1)][::-1]
+    return tuple(TruthTable._trusted(n, bits) for bits in rows)
+
+
+@lru_cache(maxsize=None)
+def mask_unions(n: int) -> tuple[int, ...]:
+    """above[k], the union of masks k..n as an int, for k in [0, n+1]; cached per n.
+
+    The table of wt(alpha) >= k, with above[n+1] = 0; the searches from
+    both ends bisect over these.  ORed from the top of masks_recursive(n)
+    on first use, not with the masks, since they hold n+1 ints of up to 2^n
+    bits beside them: about 2.6 MiB at n=20 and 11 MiB at n=22.
+    """
+    return tuple(accumulate((mask.bits for mask in reversed(masks_recursive(n))), or_, initial=0))[::-1]
 
 
 def mask_test(mask: TruthTable, serial: int) -> bool:

@@ -22,8 +22,8 @@ caller's cache traffic, and the benchmark's runs of them spread too far
 to bound against the parsed route (README, Search).
 Every other search parses the table and runs one kernel (_first_layer):
 it finds the first layer k from one end whose mask meets the table, and
-returns their AND.  Both ends bisect the unions of the masks
-(MaskSet.above) from the weight of the table's top set bit, a free bound
+returns their AND.  Both ends bisect the unions of the masks,
+mask_unions(n), from the weight of the table's top set bit, a free bound
 on either extreme.  The heavy end spends at most ceil(log2 n) + 1 ANDs,
 the light end at most 2 more, for layers 0 and 1 first; a walk over the
 layers spends up to n + 1.  The paper's WLO scan stops at the first
@@ -48,7 +48,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .cube import cached_weight_table
-from .masks import DEFER_PARSE_MIN_N, MaskSet, TruthTable, _slot_bits, masks_recursive, word_count
+from .masks import DEFER_PARSE_MIN_N, TruthTable, _slot_bits, mask_unions, masks_recursive, word_count
 from .wlo import WloSequence
 
 
@@ -116,43 +116,43 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
     return SearchHit(best, best_w)
 
 
-def _first_layer(bits: int, ms: MaskSet, heavy: bool) -> int:
+def _first_layer(bits: int, ms: tuple[TruthTable, ...], heavy: bool) -> int:
     """bits & mask k for the first layer k in scan order whose AND is nonzero.
 
     The heavy end finds the greatest such k, the light end the least.  0
     when every AND is zero.  Every set bit of the result has weight k.
 
-    Both ends bisect the unions ms.above from the weight of the table's
-    top set bit, a bound that comes free.  At the heavy end it bounds k
-    from below and is n iff the top row is set, which dense tables hit
-    half the time at no AND; k is the greatest layer with bits & above[k]
-    nonzero, and that AND is bits & mask k, since every layer above k
-    misses.  At the light end it bounds k from above; after one AND each
-    for layers 0 and 1, where dense and low-degree tables stop, k is the
-    least layer with bits & above[k + 1] != bits.  So the heavy end costs
+    ms holds the n+1 layer masks.  Both ends bisect the unions
+    above = mask_unions(n) from the weight of the table's top set bit, a
+    bound that comes free.  At the heavy end it bounds k from below and
+    is n iff the top row is set, which dense tables hit half the time at
+    no AND; k is the greatest layer with bits & above[k] nonzero, and that
+    AND is bits & mask k, since every layer above k misses.  At the light
+    end it bounds k from above; after one AND each for layers 0 and 1,
+    where dense and low-degree tables stop, k is the least layer with
+    bits & above[k + 1] != bits.  So the heavy end costs
     at most ceil(log2 n) + 1 ANDs and the light end at most
     2 + ceil(log2(n - 1)) + 1, where a walk over the layers spent n + 1.
     """
     if not heavy:
-        masks = ms.masks
-        x = bits & masks[0].bits or bits & masks[1].bits
+        x = bits & ms[0].bits or bits & ms[1].bits
         if x or not bits:
             return x
-        k, hi, above = 2, (bits.bit_length() - 1).bit_count(), ms.above
+        k, hi, above = 2, (bits.bit_length() - 1).bit_count(), mask_unions(len(ms) - 1)
         while k < hi:
             mid = (k + hi) >> 1
             if bits & above[mid + 1] != bits:
                 hi = mid
             else:
                 k = mid + 1
-        return bits & masks[k].bits
+        return bits & ms[k].bits
     if not bits:
         return 0
-    k, hi, x = (bits.bit_length() - 1).bit_count(), ms.n - 1, 0
+    k, hi, x = (bits.bit_length() - 1).bit_count(), len(ms) - 2, 0
     if k > hi:  # the top row: its one serial is the table's top set bit
-        return ms.masks[k].bits
+        return ms[k].bits
     if k < hi:  # dense tables mostly stop at k == n-1 and skip this
-        above = ms.above
+        above = mask_unions(len(ms) - 1)
         while k < hi:
             mid = (k + hi + 1) >> 1
             y = bits & above[mid]
@@ -161,7 +161,7 @@ def _first_layer(bits: int, ms: MaskSet, heavy: bool) -> int:
             else:
                 hi = mid - 1
     # x, when set, is the AND at the final k; else k is still the bound
-    return x or bits & ms.masks[k].bits
+    return x or bits & ms[k].bits
 
 
 @lru_cache(maxsize=None)
@@ -243,15 +243,15 @@ def wlo_search_min(tt: TruthTable, seq: Optional[WloSequence] = None, stats: Opt
     return _wlo_scan(tt, seq, False, stats)
 
 
-def bitwise_search_max(tt: TruthTable, ms: MaskSet, stats: Optional[SearchStats] = None) -> Optional[int]:
+def bitwise_search_max(tt: TruthTable, ms: tuple[TruthTable, ...], stats: Optional[SearchStats] = None) -> Optional[int]:
     """The heaviest layer that meets the table: the paper's AND against
-    layer masks from the top layer down, bisected over ms.above.
+    the layer masks ms from the top layer down, bisected over mask_unions(n).
 
     Only the maximal weight is returned; witnesses are recovered separately
     via layer_support.
     """
-    if tt.n != ms.n:
-        _check_same_dim(tt.n, ms.n, "mask set")
+    if tt.n != ms[0].n:
+        _check_same_dim(tt.n, ms[0].n, "mask tuple")
     x = _first_layer(tt.bits, ms, True)
     hit = (x.bit_length() - 1).bit_count() if x else None
     if stats is not None:
@@ -360,7 +360,7 @@ def mobius_transform(tt: TruthTable) -> TruthTable:
     return TruthTable._trusted(tt.n, v)
 
 
-def algebraic_degree(anf: TruthTable, ms: MaskSet) -> Optional[int]:
+def algebraic_degree(anf: TruthTable, ms: tuple[TruthTable, ...]) -> Optional[int]:
     """Maximal weight of a serial with nonzero ANF coefficient.
 
     None for the zero function, whose degree is left undefined.

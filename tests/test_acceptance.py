@@ -84,13 +84,13 @@ def test_masks():
         for k in range(n + 1):
             assert a[k].bits == b[k].bits
     for n, expected in TABLE2.items():
-        got = tuple(mask_paper_serial(m) for m in masks_recursive(n).masks)
+        got = tuple(mask_paper_serial(m) for m in masks_recursive(n))
         assert got == expected
     fixture = [v for _, v in parse_bfile(FIXTURES / "b305860.txt")]
     flattened = []
     n = 1
     while len(flattened) < len(fixture):
-        flattened.extend(mask_paper_serial(m) for m in masks_recursive(n).masks)
+        flattened.extend(mask_paper_serial(m) for m in masks_recursive(n))
         n += 1
     assert flattened[: len(fixture)] == fixture
     assert time.perf_counter() - t0 < 10

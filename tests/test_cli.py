@@ -200,7 +200,7 @@ def test_masks_bit_rows_stream_as_mask_bit_rows(capsys):
     for n in range(1, 10):
         code, out, err = run(capsys, "masks", "--n", str(n))
         assert (code, err) == (0, "")
-        assert out == "".join(mask_bit_rows(m) + "\n" for m in masks_recursive(n).masks)
+        assert out == "".join(mask_bit_rows(m) + "\n" for m in masks_recursive(n))
 
 
 @contextmanager
@@ -236,7 +236,7 @@ def test_outputs_beyond_default_digit_limit(capsys, tmp_path):
             assert len(lines[-1]) > 9000
             code, out, err = run(capsys, "masks", "--n", "14", "--paper-serials")
             assert code == 0 and err == ""
-            assert [parse_int(line) for line in out.splitlines()] == [mask_paper_serial(m) for m in masks_recursive(14).masks]
+            assert [parse_int(line) for line in out.splitlines()] == [mask_paper_serial(m) for m in masks_recursive(14)]
             # a b-file whose term 12 is wrong in its last digit and whose term 13 is negative
             want = lines[-1].split()[1]
             got = want[:-1] + str((int(want[-1]) + 1) % 10)
@@ -255,7 +255,7 @@ def test_decimal_rendering_matches_str():
     for w in (cli_mod._DECIMAL_LEAF_BITS, cli_mod._SPLIT_BITS, 2 * cli_mod._SPLIT_BITS):
         for b in (w - 1, w, w + 1):
             values += [(1 << b) - 1, 1 << b, rng.getrandbits(b) | 1 << (b - 1)]
-    values += [mask_paper_serial(m) for n in range(1, 17) for m in masks_recursive(n).masks]
+    values += [mask_paper_serial(m) for n in range(1, 17) for m in masks_recursive(n)]
     values += [-v for v in values]
     with digit_limit(0):
         want = [str(v) for v in values]

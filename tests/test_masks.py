@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import wlocube
 from wlocube import TruthTable, mask_paper_serial, mask_test, masks_from_wlo, masks_recursive, wlo_bucket
 from wlocube.masks import mask_bit_groups, mask_bit_rows, word_count
 
@@ -63,7 +64,7 @@ def test_disjoint_and_complete():
 def test_paper_serials_match_table():
     for n, expected in PAPER_SERIALS.items():
         ms = masks_recursive(n)
-        assert tuple(mask_paper_serial(m) for m in ms.masks) == expected
+        assert tuple(mask_paper_serial(m) for m in ms) == expected
     for n in range(1, 9):
         assert mask_paper_serial(masks_recursive(n)[n]) == 1
 
@@ -85,7 +86,7 @@ def test_paper_serial_is_the_mirror_layer():
     # n - wt(i); masks --paper-serials and A305860 print the mirror's bits
     for n in range(1, 13):
         for source in (masks_recursive(n), masks_from_wlo(wlo_bucket(n))):
-            assert [mask_paper_serial(m) for m in source.masks] == [m.bits for m in reversed(source.masks)]
+            assert [mask_paper_serial(m) for m in source] == [m.bits for m in reversed(source)]
 
 
 def test_mask_test():
@@ -105,6 +106,13 @@ def test_bit_rows_rendering():
     # the streamed groups agree with slicing the bit string, where n < 3 is
     # one group shorter than 8
     for n in range(1, 11):
-        for mask in masks_recursive(n).masks:
+        for mask in masks_recursive(n):
             bits = mask.to_bitstring()
             assert list(mask_bit_groups(mask)) == [bits[i : i + 8] for i in range(0, len(bits), 8)]
+
+
+def test_every_export_resolves():
+    # a stale name in __all__ makes the star import raise AttributeError
+    namespace = {}
+    exec("from wlocube import *", namespace)
+    assert set(wlocube.__all__) <= namespace.keys()

@@ -123,7 +123,7 @@ def test_search_counters(tt):
 @given(dims)
 def test_masks_partition_the_cube(n):
     acc = 0
-    for mask in masks(n).masks:
+    for mask in masks(n):
         assert acc & mask.bits == 0
         acc |= mask.bits
     assert acc == (1 << (1 << n)) - 1

@@ -3,7 +3,7 @@
 wlo_search_max/_min find the first nonempty layer of the table and
 derive the probe count from the hit's colex rank; the oracle here probes
 one serial of seq.order at a time and counts every probe, as the paper's
-scan does.  Both ends bisect the unions MaskSet.above; the heavy end's
+scan does.  Both ends bisect the unions mask_unions(n); the heavy end's
 oracle is the paper's bitwise loop, one AND per layer from n down, and
 the light end's is the same loop from layer 0 up.
 layer_support reads the layer's AND a window at a time from the top:
@@ -34,6 +34,7 @@ from wlocube import (
     exhaustive_max,
     layer_serials,
     layer_support,
+    mask_unions,
     masks_from_wlo,
     masks_recursive,
     mobius_transform,
@@ -128,10 +129,11 @@ def test_scanned_sequence_copies():
 
 def test_threads_sharing_a_fresh_sequence():
     # the searches share only the per-n caches of masks_recursive,
-    # cached_weight_table and _butterfly_steps; threads that race the first
-    # calls at a fresh n must each get the literal scan's answer, and the
-    # transform one thread computed before the caches were cleared,
-    # whichever thread filled them
+    # mask_unions, cached_weight_table and _butterfly_steps; all four are
+    # cleared before each trial, so threads race the first calls at a fresh
+    # n, the union build included, and must each get the literal scan's
+    # answer, and the transform one thread computed before the caches were
+    # cleared, whichever thread filled them
     rng = random.Random(5)
     cases = {}
     for n in (6, 9, 12):
@@ -159,6 +161,7 @@ def test_threads_sharing_a_fresh_sequence():
         for trial in range(5):
             for n in cases:
                 masks_recursive.cache_clear()
+                mask_unions.cache_clear()
                 cached_weight_table.cache_clear()
                 _butterfly_steps.cache_clear()
                 threads = [threading.Thread(target=work, args=(n, 4 * trial + i)) for i in range(4)]
@@ -255,13 +258,13 @@ def test_heavy_end_bound_is_the_answer(tt):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_unions_above(n):
+    above = mask_unions(n)
+    assert len(above) == n + 2
+    assert above[0] == (1 << (1 << n)) - 1 and above[n + 1] == 0
+    # both builders' masks are the differences of the one union family
     for ms in mask_sets(n):
-        above = ms.above
-        assert len(above) == n + 2
-        assert above[0] == (1 << (1 << n)) - 1 and above[n + 1] == 0
         for k in range(n + 1):
-            assert above[k] == above[k + 1] | ms[k].bits
-    assert mask_sets(n)[0].above == mask_sets(n)[1].above
+            assert above[k + 1] & ms[k].bits == 0 and above[k] == above[k + 1] | ms[k].bits
 
 
 class CountingInt(int):
@@ -338,7 +341,7 @@ def tables_lightest_at_top(draw):
     """A table whose top set bit is also its lightest, other bits at random below it."""
     n = draw(st.integers(1, 12))
     t = draw(st.integers(0, (1 << n) - 1))
-    heavy = masks_recursive(n).above[t.bit_count()]
+    heavy = mask_unions(n)[t.bit_count()]
     return TruthTable(n, 1 << t | draw(st.integers(0, (1 << t) - 1)) & heavy)
 
 
@@ -355,7 +358,7 @@ def tables_lighter_below(draw):
     free = [b for b in range(n) if not h >> b & 1]
     extra = draw(st.lists(st.sampled_from(free), min_size=1, unique=True))
     t = h | sum(1 << b for b in extra)
-    noise = draw(st.integers(0, (1 << t) - 1)) & masks_recursive(n).above[2] if draw(st.booleans()) else 0
+    noise = draw(st.integers(0, (1 << t) - 1)) & mask_unions(n)[2] if draw(st.booleans()) else 0
     return TruthTable(n, 1 << t | 1 << h | noise)
 
 

@@ -99,7 +99,11 @@ def test_truth_table_is_an_immutable_value():
     assert tt == TruthTable(4, 5) and hash(tt) == hash(TruthTable(4, 5))
     assert tt != TruthTable(4, 6) and tt != TruthTable(5, 5) and tt != (4, 5)
     assert len({tt, TruthTable(4, 5), make_tt(4, {0, 2})}) == 1
-    assert repr(tt) == "TruthTable(n=4, bits=5)"
+    assert repr(tt) == "TruthTable(n=4, bits=0x5)"
+    # hex: the 4933 decimal digits of this table exceed the int-to-str limit
+    full = TruthTable(14, (1 << (1 << 14)) - 1)
+    for t in (tt, full, TruthTable(1, 0)):
+        assert eval(repr(t)) == t
     for clone in (pickle.loads(pickle.dumps(tt)), copy.copy(tt), copy.deepcopy(tt)):
         assert type(clone) is TruthTable and clone == tt
 
