@@ -12,24 +12,26 @@ read from a step table cached per n.
 
 wlo_search_max first reads the scan's first n + 1 probes, layers n and
 n - 1, when the table is one that from_raw has not parsed yet (n >= 17,
-masks.DEFER_PARSE_MIN_N).  They lie in n - 2 bytes: one itemgetter picks
-those, a translate maps them to 0/1 flags, and find(1) is the first hit in
-l_n order.  Dense and low-degree tables mostly stop there, with the table
-unparsed and no layer mask built.  The light end and the bitwise route
+masks.DEFER_PARSE_MIN_N): one loop tests each probe's bit in the raw
+bytes, in l_n order, from a (byte, bit, serial) list cached per n.  Dense
+and low-degree tables mostly stop there, with the table unparsed and no
+layer mask built.  The light end and the bitwise route
 parse: read from the bytes they too ran 3.5-4.3x faster, but a call decided
 there costs a few cache misses rather than work, so its time follows the
 caller's cache traffic, and the benchmark's runs of them spread too far
 to bound against the parsed route (README, Search).
-Every other search parses the table and runs one kernel (_first_layer):
-it finds the first layer k from one end whose mask meets the table, and
-returns their AND.  Both ends bisect the unions of the masks,
+Every other search parses the table and runs one kernel (_scan_hit),
+which returns the serial where the paper's WLO scan stops: the first
+support vector along l_n.  That lies in the first layer k from one end
+that meets the table, and inside a layer l_n ascends, so it is the
+highest set bit of the table's layer k from the heavy end and the lowest
+from the light end.  Both ends bisect the unions of the masks,
 mask_unions(n), from the weight of the table's top set bit, a free bound
-on either extreme.  The heavy end spends at most ceil(log2 n) + 1 ANDs,
-the light end at most 2 more, for layers 0 and 1 first; a walk over the
-layers spends up to n + 1.  The paper's WLO scan stops at the first
-support vector along l_n; inside a layer l_n ascends, so that vector is
-the highest set bit of the AND from the heavy end and the lowest from the
-light end.  SearchStats.probes is still the number of serials the paper's
+on either extreme.  From the heavy end that bit is the hit unless a
+heavier layer meets the table, so the heavy end reads no mask and spends
+at most ceil(log2 n) ANDs; the light end ANDs masks 0 and 1 first and
+its layer's mask last, at most 3 more.  A walk over the layers spends up
+to n + 1.  SearchStats.probes is still the number of serials the paper's
 scan probes: the hit's position in l_n, which is the layers below it plus
 its colex rank inside its layer, or 2^n on a miss.
 
@@ -44,7 +46,6 @@ rest.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .cube import cached_weight_table
@@ -83,12 +84,6 @@ _NONZERO_BYTE = bytes([0] + [1] * 255)
 _PEEL_BUDGET = 16
 _PEEL_WINDOW = 1 << 12
 _WINDOW_TOP = 1 << (_PEEL_WINDOW - 1)
-# The heavy end's first n + 1 probes, in the raw bytes (serial i is bit
-# i & 7 of byte i >> 3): 2^n - 1 and then 2^n - 1 - 2^i, for i = 0..n-1.
-# The first four share the last byte, as its bits 7, 6, 5, 3; every other
-# probe is the top bit of byte 2^(n-3) - 1 - 2^(i-3).
-_HEAVY_END = tuple(bytes(v >> b & 1 for b in (7, 6, 5, 3)) for v in range(256))
-_TOP_BIT = bytes(v >> 7 for v in range(256))
 
 
 def _check_same_dim(n: int, other: int, what: str) -> None:
@@ -116,59 +111,58 @@ def exhaustive_max(tt: TruthTable, stats: Optional[SearchStats] = None) -> Optio
     return SearchHit(best, best_w)
 
 
-def _first_layer(bits: int, ms: tuple[TruthTable, ...], heavy: bool) -> int:
-    """bits & mask k for the first layer k in scan order whose AND is nonzero.
+def _scan_hit(bits: int, n: int, heavy: bool) -> int:
+    """The serial where the paper's scan of l_n stops from one end; -1
+    for an empty table.
 
-    The heavy end finds the greatest such k, the light end the least.  0
-    when every AND is zero.  Every set bit of the result has weight k.
-
-    ms holds the n+1 layer masks.  Both ends bisect the unions
-    above = mask_unions(n) from the weight of the table's top set bit, a
-    bound that comes free.  At the heavy end it bounds k from below and
-    is n iff the top row is set, which dense tables hit half the time at
-    no AND; k is the greatest layer with bits & above[k] nonzero, and that
-    AND is bits & mask k, since every layer above k misses.  At the light
-    end it bounds k from above; after one AND each for layers 0 and 1,
-    where dense and low-degree tables stop, k is the least layer with
-    bits & above[k + 1] != bits.  So the heavy end costs
-    at most ceil(log2 n) + 1 ANDs and the light end at most
-    2 + ceil(log2(n - 1)) + 1, where a walk over the layers spent n + 1.
+    The hit lies in the first layer k in scan order that meets the table.
+    Both ends bisect the unions above = mask_unions(n) from the weight of
+    the table's top set bit, a bound that comes free.  At the heavy end it
+    bounds k from below, and the top bit is the hit unless a heavier layer,
+    below n, meets the table; then k is the greatest layer with
+    bits & above[k] nonzero, that AND is the table's layer k, and its top
+    bit is the hit.  So the heavy end reads no mask and spends at most
+    ceil(log2 n) ANDs, none when the top bit weighs n - 1 or n.  At the
+    light end the bound is from above; after one AND each with masks 0 and
+    1, where dense and low-degree tables stop, k is the least layer with
+    bits & above[k + 1] != bits, and the hit is the lowest bit of the AND
+    with mask k: at most 2 + ceil(log2(n - 1)) + 1 ANDs.  A walk over the
+    layers spent up to n + 1.
     """
     if not heavy:
+        ms = masks_recursive(n)
         x = bits & ms[0].bits or bits & ms[1].bits
-        if x or not bits:
-            return x
-        k, hi, above = 2, (bits.bit_length() - 1).bit_count(), mask_unions(len(ms) - 1)
-        while k < hi:
-            mid = (k + hi) >> 1
-            if bits & above[mid + 1] != bits:
-                hi = mid
-            else:
-                k = mid + 1
-        return bits & ms[k].bits
-    if not bits:
-        return 0
-    k, hi, x = (bits.bit_length() - 1).bit_count(), len(ms) - 2, 0
-    if k > hi:  # the top row: its one serial is the table's top set bit
-        return ms[k].bits
-    if k < hi:  # dense tables mostly stop at k == n-1 and skip this
-        above = mask_unions(len(ms) - 1)
+        if not x and bits:
+            k, hi, above = 2, (bits.bit_length() - 1).bit_count(), mask_unions(n)
+            while k < hi:
+                mid = (k + hi) >> 1
+                if bits & above[mid + 1] != bits:
+                    hi = mid
+                else:
+                    k = mid + 1
+            x = bits & ms[k].bits
+        return (x & -x).bit_length() - 1  # -1 for x == 0, an empty table
+    s = bits.bit_length() - 1
+    k, hi = s.bit_count(), n - 1
+    if s > 0 and k < hi:  # dense tables mostly stop at k >= n - 1 and skip this
+        above = mask_unions(n)
         while k < hi:
             mid = (k + hi + 1) >> 1
             y = bits & above[mid]
             if y:
-                k, x = mid, y
+                k, s = mid, y.bit_length() - 1
             else:
                 hi = mid - 1
-    # x, when set, is the AND at the final k; else k is still the bound
-    return x or bits & ms[k].bits
+    return s
 
 
 @lru_cache(maxsize=None)
-def _end_getter(n: int) -> itemgetter:
-    """For n >= 5: the bytes of the heavy end's probes 4..n."""
-    last = (1 << (n - 3)) - 1
-    return itemgetter(*(last - (1 << i) for i in range(n - 3)))
+def _end_probes(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The heavy end's first n + 1 probes, 2^n - 1 and then 2^n - 1 - 2^i
+    for i = 0..n-1, as (byte, bit, serial) in the raw bytes, where serial s
+    is bit s & 7 of byte s >> 3."""
+    top = (1 << n) - 1
+    return tuple((s >> 3, 1 << (s & 7), s) for s in (top, *(top ^ (1 << i) for i in range(n))))
 
 
 def _end_hit(tt: TruthTable, n: int) -> int:
@@ -176,17 +170,11 @@ def _end_hit(tt: TruthTable, n: int) -> int:
     raw bytes of a table from_raw has not parsed; -1 for a parsed table, or
     when no probe fires."""
     raw = _slot_bits(tt)
-    if raw.__class__ is not bytes:
-        return -1
-    # the last byte holds the first four probes, where most tables stop
-    j = _HEAVY_END[raw[-1]].find(1)
-    if j < 0:
-        j = bytes(_end_getter(n)(raw)).translate(_TOP_BIT).find(1)
-        if j < 0:
-            return -1
-        j += 4
-    # probe 0 is 2^n - 1, probe j >= 1 is 2^n - 1 - 2^(j-1)
-    return (1 << n) - 1 - (1 << j >> 1)
+    if raw.__class__ is bytes:
+        for byte, bit, s in _end_probes(n):
+            if raw[byte] & bit:
+                return s
+    return -1
 
 
 def _wlo_position(n: int, s: int) -> int:
@@ -215,12 +203,11 @@ def _wlo_scan(tt: TruthTable, seq: Optional[WloSequence], heavy: bool, stats: Op
     if seq is not None and seq.n != n:
         _check_same_dim(n, seq.n, "sequence")
     if n < DEFER_PARSE_MIN_N or not heavy or (s := _end_hit(tt, n)) < 0:
-        x = _first_layer(tt.bits, masks_recursive(n), heavy)
-        if not x:
+        s = _scan_hit(tt.bits, n, heavy)
+        if s < 0:
             if stats is not None:
                 stats.probes += 1 << n
             return None
-        s = x.bit_length() - 1 if heavy else (x & -x).bit_length() - 1
     if stats is not None:
         # complementing maps l_n read from its heavy end onto l_n, so the
         # heavy end's 2^n - pos(s) is pos(~s) + 1, a rank over few bits
@@ -233,7 +220,7 @@ def wlo_search_max(tt: TruthTable, seq: Optional[WloSequence] = None, stats: Opt
     """Scan the WLO sequence from its heavy end; stop at the first hit.
 
     seq, when given, is only checked against tt's dimension: the scan reads
-    the layer masks, and the result is the same without it.
+    the unions of the layer masks, and the result is the same without it.
     """
     return _wlo_scan(tt, seq, True, stats)
 
@@ -247,13 +234,15 @@ def bitwise_search_max(tt: TruthTable, ms: tuple[TruthTable, ...], stats: Option
     """The heaviest layer that meets the table: the paper's AND against
     the layer masks ms from the top layer down, bisected over mask_unions(n).
 
-    Only the maximal weight is returned; witnesses are recovered separately
-    via layer_support.
+    ms, like wlo_search_max's seq, is only checked against tt's dimension:
+    the search reads the unions, and only when the table's top set bit
+    weighs less than n - 1.  Only the maximal weight is returned;
+    witnesses are recovered separately via layer_support.
     """
     if tt.n != ms[0].n:
         _check_same_dim(tt.n, ms[0].n, "mask tuple")
-    x = _first_layer(tt.bits, ms, True)
-    hit = (x.bit_length() - 1).bit_count() if x else None
+    s = _scan_hit(tt.bits, tt.n, True)
+    hit = s.bit_count() if s >= 0 else None
     if stats is not None:
         # a miss tests every row, as a hit on row 0 does
         tested = tt.n + 1 - (hit or 0)

@@ -43,7 +43,7 @@ from wlocube import (
     wlo_search_min,
 )
 from wlocube.cube import cached_weight_table
-from wlocube.search import _PEEL_BUDGET, _PEEL_WINDOW, _butterfly_steps, _first_layer
+from wlocube.search import _PEEL_BUDGET, _PEEL_WINDOW, _butterfly_steps, _scan_hit
 
 # wlo_bucket rebuilds the sequence on every call
 wlo = lru_cache(maxsize=None)(wlo_bucket)
@@ -183,7 +183,7 @@ def top_down_scan(tt, ms):
 def check_heavy_end(tt, ms):
     """The heavy-end searches against top_down_scan; returns its layer."""
     k = top_down_scan(tt, ms)
-    assert _first_layer(tt.bits, ms, True) == (0 if k is None else tt.bits & ms[k].bits)
+    assert _scan_hit(tt.bits, tt.n, True) == (-1 if k is None else (tt.bits & ms[k].bits).bit_length() - 1)
     assert bitwise_search_max(tt, ms) == k
     assert algebraic_degree(tt, ms) == k
     stats = SearchStats()
@@ -213,7 +213,7 @@ def test_heavy_end_every_single_bit(n):
 @pytest.mark.parametrize("n", [1, 4, 12, 16, 20])
 def test_heavy_end_zero_table(n):
     ms = masks_recursive(n)
-    assert _first_layer(0, ms, True) == 0
+    assert _scan_hit(0, n, True) == -1
     assert bitwise_search_max(TruthTable(n, 0), ms) is None and wlo_search_max(TruthTable(n, 0)) is None
 
 
@@ -281,10 +281,10 @@ class CountingInt(int):
 
 @pytest.mark.parametrize("n", [16, 20])
 def test_heavy_end_ands_per_single_bit(n):
-    # at most ceil(log2 n) + 1 ANDs for one bit of any weight: the top row
-    # costs none, the bisection ceil(log2 n), and the final AND one; the
-    # walk down the layers took n + 1 for a bit of weight 0
-    budget = (n - 1).bit_length() + 1
+    # at most ceil(log2 n) ANDs for one bit of any weight, all of them the
+    # bisection's: the hit is the top bit of the table or of the last
+    # nonzero AND; the walk down the layers took n + 1 for a bit of weight 0
+    budget = (n - 1).bit_length()
     ms = masks_recursive(n)
     rng = random.Random(n)
     spent = []
@@ -300,6 +300,25 @@ def test_heavy_end_ands_per_single_bit(n):
     assert max(spent) > 0  # the counter sees the kernel's ANDs
 
 
+@pytest.mark.parametrize("n", [10, 16, 20])
+def test_heavy_end_reads_no_mask_when_the_top_bit_weighs_n_or_n_minus_1(n):
+    # the table's top set bit is then the hit: no AND, no unions, and
+    # wlo_search_max needs no masks at all
+    ms = masks_recursive(n)
+    rng = random.Random(n)
+    top = (1 << n) - 1
+    for t in (top, top ^ 1, top ^ (1 << (n - 1)), top ^ (1 << rng.randrange(n))):
+        for below in (0, rng.getrandbits(t)):
+            tt = TruthTable(n, CountingInt(1 << t | below))
+            unions, masks = mask_unions.cache_info(), masks_recursive.cache_info()
+            CountingInt.ands = 0
+            assert wlo_search_max(tt) == (t, t.bit_count())
+            assert masks_recursive.cache_info() == masks
+            assert bitwise_search_max(tt, ms) == algebraic_degree(tt, ms) == t.bit_count()
+            assert CountingInt.ands == 0, (n, t, CountingInt.ands)
+            assert mask_unions.cache_info() == unions
+
+
 def bottom_up_scan(tt, ms):
     """The bitwise loop from the light end: the first layer from 0 up that meets the table."""
     return next((k for k in range(tt.n + 1) if tt.bits & ms[k].bits), None)
@@ -308,7 +327,8 @@ def bottom_up_scan(tt, ms):
 def check_light_end(tt, ms):
     """The light-end searches against bottom_up_scan; returns its layer."""
     k = bottom_up_scan(tt, ms)
-    assert _first_layer(tt.bits, ms, False) == (0 if k is None else tt.bits & ms[k].bits)
+    x = 0 if k is None else tt.bits & ms[k].bits
+    assert _scan_hit(tt.bits, tt.n, False) == (x & -x).bit_length() - 1
     stats = SearchStats()
     hit = wlo_search_min(tt, None, stats)
     assert (hit, stats.probes) == literal_scan(tt.bits, wlo(tt.n).order)
@@ -388,7 +408,7 @@ def test_light_end_ands_per_single_bit(n):
         lowest = (1 << w) - 1
         for s in (lowest, lowest << (n - w), *(sum(1 << b for b in rng.sample(range(n), w)) for _ in range(2))):
             tt = TruthTable(n, CountingInt(1 << s))
-            for search in (lambda: (_first_layer(tt.bits, ms, False).bit_length() - 1).bit_count(), lambda: wlo_search_min(tt).weight):
+            for search in (lambda: _scan_hit(tt.bits, n, False).bit_count(), lambda: wlo_search_min(tt).weight):
                 CountingInt.ands = 0
                 assert search() == w
                 spent.append(CountingInt.ands)
