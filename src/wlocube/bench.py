@@ -120,7 +120,7 @@ def _load_tables(corpus: Corpus) -> list[TruthTable]:
     if len(raw) != step * corpus.count:
         raise ValueError("corpus file size disagrees with its metadata")
     # from_raw parses a memoryview at once, where it would defer the parse
-    # of a bytes slice at n >= 17 into the first timed pass that reads it
+    # of a bytes slice at n >= 16 into the first timed pass that reads it
     view = memoryview(raw)
     return [TruthTable.from_raw(n, view[i : i + step]) for i in range(0, len(raw), step)]
 

@@ -25,13 +25,13 @@ def word_count(n: int) -> int:
     return 1 << max(0, n - 6)
 
 
-# from_raw defers the parse of a bytes table of 2^17 bits (16 KiB) or more,
-# so a wlo_search_max that its first n + 1 probes decide reads n - 2 of its
-# bytes.
-# A deferred table that is parsed after all pays 0.3-0.5 us for its bits
-# property: 3.4-4.5% of the parse at n=16, 2.2-2.3% at n=17 and 0.6-1.0% at
-# n=18 (CPython 3.11, x86-64), so smaller tables are parsed at once
-DEFER_PARSE_MIN_N = 17
+# from_raw defers the parse of a bytes table of 2^16 bits (8 KiB) or more,
+# so a search that the end probes, or the set bytes of a sparse table,
+# decide reads only those bytes (search.py).  A deferred table that is
+# parsed after all pays 0.3-0.5 us for its bits property: 3.4-4.5% of the
+# parse at n=16, 2.2-2.3% at n=17 and 0.6-1.0% at n=18 (CPython 3.11,
+# x86-64); smaller tables, whose share would be larger, are parsed at once
+DEFER_PARSE_MIN_N = 16
 
 
 class TruthTable:
@@ -47,13 +47,13 @@ class TruthTable:
     the masks, mobius_transform, and from_raw at n >= 6, whose 2^(n-3)
     bytes are 2^n bits.
 
-    At n >= DEFER_PARSE_MIN_N (17), from_raw given a bytes object returns
+    At n >= DEFER_PARSE_MIN_N (16), from_raw given a bytes object returns
     a private subclass that keeps those bytes in the bits slot and parses
-    them on the first read of bits; wlo_search_max reads its first probes
-    from the bytes instead.  Below 17 that property would cost 3.4% or
-    more of the parse it defers, so from_raw parses at once, as it does for
-    a bytearray or any other buffer, which can change after the call.  The
-    two classes compare, hash, print and pickle alike.
+    them on the first read of bits; the searches read the end probes, or
+    the set bytes of a sparse table, from the bytes instead.  Below 16
+    from_raw parses at once, as it does for a bytearray or any other
+    buffer, which can change after the call.  The two classes compare,
+    hash, print and pickle alike.
     """
 
     __slots__ = ("n", "bits")
@@ -115,8 +115,8 @@ class TruthTable:
     @classmethod
     def from_raw(cls, n: int, data: bytes) -> "TruthTable":
         """Parse raw little-endian 64-bit words (the corpus file format)."""
-        # a valid table at n >= 6 is 2^(n-3) bytes: parsed at once below 17,
-        # kept unparsed from 17 when it is bytes; the rest is checked below
+        # a valid table at n >= 6 is 2^(n-3) bytes: parsed at once below 16,
+        # kept unparsed from 16 when it is bytes; the rest is checked below
         if n.__class__ is int and 6 <= n < DEFER_PARSE_MIN_N and len(data) == 1 << (n - 3):
             return cls._trusted(n, int.from_bytes(data, "little"))
         if data.__class__ is bytes and n.__class__ is int and DEFER_PARSE_MIN_N <= n <= MAX_DIM and len(data) == 1 << (n - 3):
@@ -126,7 +126,7 @@ class TruthTable:
         if len(data) != 8 * w:
             raise ValueError(f"expected {8 * w} bytes for n={n}, got {len(data)}")
         # below n=6 the one word holds bits past 2^n, which the check rejects;
-        # from 17 a buffer other than bytes is parsed here, at once
+        # from 16 a buffer other than bytes is parsed here, at once
         return cls(n, int.from_bytes(data, "little"))
 
     def to_bitstring(self) -> str:

@@ -10,16 +10,16 @@ function from its ANF coefficient vector, which shares the truth-table
 layout; mobius_transform maps a truth table to that vector in n steps
 read from a step table cached per n.
 
-wlo_search_max first reads the scan's first n + 1 probes, layers n and
-n - 1, when the table is one that from_raw has not parsed yet (n >= 17,
-masks.DEFER_PARSE_MIN_N): one loop tests each probe's bit in the raw
-bytes, in l_n order, from a (byte, bit, serial) list cached per n.  Dense
-and low-degree tables mostly stop there, with the table unparsed and no
-layer mask built.  The light end and the bitwise route
-parse: read from the bytes they too ran 3.5-4.3x faster, but a call decided
-there costs a few cache misses rather than work, so its time follows the
-caller's cache traffic, and the benchmark's runs of them spread too far
-to bound against the parsed route (README, Search).
+A table that from_raw has not parsed yet (n >= 16, DEFER_PARSE_MIN_N)
+is read from its bytes first.  wlo_search_max tests the scan's first
+n + 1 probes, layers n and n - 1, in l_n order from a (byte, bit, serial)
+list cached per n; dense and low-degree tables mostly stop there.  Then
+every search, and layer_support, takes its answer from the set serials
+of a sparse table: one with at most _SPARSE_BUDGET (16) set bytes, each
+of one bit.  An exact test of the budget on the end bytes rejects a
+denser table in about 0.5 us; one it lets through costs finds (memchr)
+and a compare, up to a parse at n = 16 and a quarter of one at n = 18.
+A search decided there leaves the table unparsed.
 Every other search parses the table and runs one kernel (_scan_hit),
 which returns the serial where the paper's WLO scan stops: the first
 support vector along l_n.  That lies in the first layer k from one end
@@ -165,16 +165,40 @@ def _end_probes(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((s >> 3, 1 << (s & 7), s) for s in (top, *(top ^ (1 << i) for i in range(n))))
 
 
-def _end_hit(tt: TruthTable, n: int) -> int:
+def _end_hit(tt: TruthTable, n: int) -> Optional[int]:
     """The heavy end's first hit among its first n + 1 probes, read from the
-    raw bytes of a table from_raw has not parsed; -1 for a parsed table, or
-    when no probe fires."""
+    raw bytes of a table from_raw has not parsed; None for a parsed table,
+    or when no probe fires."""
     raw = _slot_bits(tt)
     if raw.__class__ is bytes:
         for byte, bit, s in _end_probes(n):
             if raw[byte] & bit:
                 return s
-    return -1
+    return None
+
+
+# the most set bytes, each of one bit, of a table read from its bytes
+_SPARSE_BUDGET = 16
+
+
+def _sparse_serials(tt: TruthTable) -> Optional[list[int]]:
+    """Ascending set serials of a table from_raw has not parsed, if at most
+    _SPARSE_BUDGET of its bytes are set, each to one bit; else None."""
+    raw = _slot_bits(tt)
+    # over the budget if more than 16 of the 128 end bytes are nonzero
+    if raw.__class__ is not bytes or raw.count(0, 0, 64) + raw.count(0, -64) < 128 - _SPARSE_BUDGET:
+        return None
+    found, rebuilt = [], bytearray(len(raw))
+    for b in range(8):
+        j = raw.find(1 << b)
+        while j >= 0:
+            if len(found) == _SPARSE_BUDGET:
+                return None
+            found.append(j << 3 | b)
+            rebuilt[j] = 1 << b
+            j = raw.find(1 << b, j + 1)
+    # equal only if no byte but those found is set
+    return sorted(found) if rebuilt == raw else None
 
 
 def _wlo_position(n: int, s: int) -> int:
@@ -202,12 +226,19 @@ def _wlo_scan(tt: TruthTable, seq: Optional[WloSequence], heavy: bool, stats: Op
     n = tt.n
     if seq is not None and seq.n != n:
         _check_same_dim(n, seq.n, "sequence")
-    if n < DEFER_PARSE_MIN_N or not heavy or (s := _end_hit(tt, n)) < 0:
+    s = None
+    if n >= DEFER_PARSE_MIN_N:
+        if heavy:
+            s = _end_hit(tt, n)
+        # ties go as in l_n: the greatest serial heavy, the least light
+        if s is None and (ones := _sparse_serials(tt)) is not None:
+            s = max(reversed(ones), key=int.bit_count, default=-1) if heavy else min(ones, key=int.bit_count, default=-1)
+    if s is None:
         s = _scan_hit(tt.bits, n, heavy)
-        if s < 0:
-            if stats is not None:
-                stats.probes += 1 << n
-            return None
+    if s < 0:
+        if stats is not None:
+            stats.probes += 1 << n
+        return None
     if stats is not None:
         # complementing maps l_n read from its heavy end onto l_n, so the
         # heavy end's 2^n - pos(s) is pos(~s) + 1, a rank over few bits
@@ -239,15 +270,19 @@ def bitwise_search_max(tt: TruthTable, ms: tuple[TruthTable, ...], stats: Option
     weighs less than n - 1.  Only the maximal weight is returned;
     witnesses are recovered separately via layer_support.
     """
-    if tt.n != ms[0].n:
-        _check_same_dim(tt.n, ms[0].n, "mask tuple")
-    s = _scan_hit(tt.bits, tt.n, True)
-    hit = s.bit_count() if s >= 0 else None
+    n = tt.n
+    if n != ms[0].n:
+        _check_same_dim(n, ms[0].n, "mask tuple")
+    if n < DEFER_PARSE_MIN_N or (ones := _sparse_serials(tt)) is None:
+        s = _scan_hit(tt.bits, n, True)
+        hit = s.bit_count() if s >= 0 else None
+    else:
+        hit = max(map(int.bit_count, ones), default=None)
     if stats is not None:
         # a miss tests every row, as a hit on row 0 does
-        tested = tt.n + 1 - (hit or 0)
+        tested = n + 1 - (hit or 0)
         stats.rows_tested += tested
-        stats.word_ops += tested * word_count(tt.n)
+        stats.word_ops += tested * word_count(n)
     return hit
 
 
@@ -266,8 +301,13 @@ def layer_support(tt: TruthTable, mask: TruthTable) -> list[int]:
     needs none either.  Past _PEEL_BUDGET (16) witnesses, so after at most
     16 XORs, one byte scan reads what is left.
     """
-    if tt.n != mask.n:
-        _check_same_dim(tt.n, mask.n, "mask")
+    n = tt.n
+    if n != mask.n:
+        _check_same_dim(n, mask.n, "mask")
+    if n >= DEFER_PARSE_MIN_N and (ones := _sparse_serials(tt)) is not None:
+        # the layer's top serial, (2^k - 1) << (n - k), weighs k
+        k = (mask.bits.bit_length() - 1).bit_count()
+        return [s for s in ones if s.bit_count() == k]
     x = tt.bits & mask.bits
     peeled = []
     low = x.bit_length() - _PEEL_WINDOW

@@ -163,7 +163,7 @@ def test_gen_corpus_bytes_across_write_batches(tmp_path, n, count, seed):
 
 
 def test_run_bench_parses_every_table_before_timing(tmp_path):
-    # from_raw would defer the parse of a bytes table at n >= 17 into the
+    # from_raw would defer the parse of a bytes table at n >= 16 into the
     # first timed pass; the loader hands it memoryviews, parsed at once
     corpus = gen_corpus(3, 17, 5, tmp_path / "c.bin")
     tables = _load_tables(corpus)

@@ -1,9 +1,10 @@
-"""The deferred parse of from_raw at n >= 17, and wlo_search_max's end read.
+"""The deferred parse of from_raw at n >= 16, and wlo_search_max's end read.
 
 wlo_search_max on a table from_raw has not parsed reads the heavy end's
 first n + 1 probes from the raw bytes, and a search decided there must
-leave the table unparsed; the other searches parse it.  Every answer and
-counter must equal the parsed route's.
+leave the table unparsed; the other searches parse it unless it is
+sparse (test_sparse_read).  Every answer and counter must equal the
+parsed route's.
 """
 
 import copy
@@ -27,7 +28,7 @@ from wlocube import (
 )
 from wlocube.masks import DEFER_PARSE_MIN_N, _DeferredTable, _slot_bits
 
-DIMS = (17, 18, 19, 20)
+DIMS = (16, 17, 18, 19, 20)
 
 
 def raw_of(n, bits):
@@ -133,23 +134,26 @@ def test_a_decided_search_leaves_the_table_unparsed_and_builds_no_masks():
         assert is_unparsed(tt)
         assert (decided[-1][1], got) == want
     assert masks_recursive.cache_info() == before
-    # the bitwise route and the light end parse, and agree with the end read
+    # the bitwise route and the light end agree with the end read; they
+    # parse the dense table, and read the sparse ones from their set bytes
     ms = masks_recursive(n)
     for tt, hit in decided:
         row = bitwise_search_max(tt, ms)
         assert hit.weight == row >= n - 1
         assert layer_support(tt, ms[row])[-1] == hit.serial
-        assert not is_unparsed(tt)
+        assert is_unparsed(tt) == (tt is not decided[0][0])
     tt = TruthTable.from_raw(n, raw_of(n, 1 | 1 << 40))
     assert wlo_search_min(tt) == (0, 0)
-    assert not is_unparsed(tt)
-    # a table no end probe decides is parsed, once, on the way to the kernel
-    tt = TruthTable.from_raw(n, raw_of(n, 1 << 1000))
-    assert wlo_search_max(tt) == wlo_search_min(tt) == (1000, 6)
+    assert is_unparsed(tt)
+    # a table neither the end probes nor the sparse read decide, here for
+    # two bits in one byte, is parsed, once, on the way to the kernel
+    tt = TruthTable.from_raw(n, raw_of(n, 1 << 1000 | 1 << 1001))
+    assert wlo_search_max(tt) == (1001, 7)
+    assert wlo_search_min(tt) == (1000, 6)
     assert not is_unparsed(tt)
 
 
-def test_from_raw_defers_only_bytes_at_n_17_and_up():
+def test_from_raw_defers_only_bytes_at_n_16_and_up():
     rng = random.Random(3)
     for n in (6, 10, 16, 17, 20):
         bits = rng.getrandbits(1 << n)

@@ -48,7 +48,7 @@ def test_unchecked_tables_pass_the_check(tt):
         TruthTable.from_bits(n, [i for i in range(1 << n) if tt.bits >> i & 1]),
         mobius_transform(tt),
     )
-    # from_raw defers the parse of bytes at n >= 17, which these n never reach
+    # from_raw defers the parse of bytes at n >= 16, which these n never reach
     expected = (_DeferredTable if n >= DEFER_PARSE_MIN_N else TruthTable, TruthTable, TruthTable)
     for t, cls in zip(built, expected):
         assert type(t) is cls and t == TruthTable(t.n, t.bits)
