@@ -16,10 +16,10 @@ n + 1 probes, layers n and n - 1, in l_n order from a (byte, bit, serial)
 list cached per n; dense and low-degree tables mostly stop there.  Then
 every search, and layer_support, takes its answer from the set serials
 of a sparse table: one with at most _SPARSE_BUDGET (16) set bytes, each
-of one bit.  An exact test of the budget on the end bytes rejects a
-denser table in about 0.5 us; one it lets through costs finds (memchr)
-and a compare, up to a parse at n = 16 and a quarter of one at n = 18.
-A search decided there leaves the table unparsed.
+of one bit.  Exact tests of the budget on the end bytes reject a denser
+table in about 0.5 us; one they let through costs finds (memchr) and a
+compare, up to a parse at n = 16 and a quarter of one at n = 18.  A
+search decided there leaves the table unparsed.
 Every other search parses the table and runs one kernel (_scan_hit),
 which returns the serial where the paper's WLO scan stops: the first
 support vector along l_n.  That lies in the first layer k from one end
@@ -177,16 +177,16 @@ def _end_hit(tt: TruthTable, n: int) -> Optional[int]:
     return None
 
 
-# the most set bytes, each of one bit, of a table read from its bytes
-_SPARSE_BUDGET = 16
+_SPARSE_BUDGET = 16  # the most set bytes, each of one bit, of a table read from its bytes
 
 
 def _sparse_serials(tt: TruthTable) -> Optional[list[int]]:
     """Ascending set serials of a table from_raw has not parsed, if at most
     _SPARSE_BUDGET of its bytes are set, each to one bit; else None."""
     raw = _slot_bits(tt)
-    # over the budget if more than 16 of the 128 end bytes are nonzero
-    if raw.__class__ is not bytes or raw.count(0, 0, 64) + raw.count(0, -64) < 128 - _SPARSE_BUDGET:
+    # over the budget if more than 16 of the first 64 bytes, which the parse
+    # reads first, or of the 128 end bytes are nonzero
+    if raw.__class__ is not bytes or (z := raw.count(0, 0, 64)) < 64 - _SPARSE_BUDGET or z + raw.count(0, -64) < 128 - _SPARSE_BUDGET:
         return None
     found, rebuilt = [], bytearray(len(raw))
     for b in range(8):

@@ -53,7 +53,7 @@ def sparse_cases(n, rng):
     for count in range(_SPARSE_BUDGET + 2):  # 0 to budget + 1 set bytes
         cases.append(in_bytes(rng, rng.sample(range(nbytes), count)))
     # set bytes inside the 64-byte end windows, at and past the budget
-    for low, high in ((8, 8), (9, 8), (64, 0), (0, 17), (3, 2)):
+    for low, high in ((8, 8), (9, 8), (16, 0), (17, 0), (64, 0), (0, 16), (0, 17), (3, 2)):
         cases.append(in_bytes(rng, rng.sample(range(64), low) + rng.sample(range(nbytes - 64, nbytes), high)))
     # the last 16 and the last 17 bytes all set, and the top and the bottom serials
     cases += [in_bytes(rng, range(nbytes - c, nbytes)) for c in (16, 17)]
